@@ -3,13 +3,16 @@
 The non-ideal solve assembles the complete resistive network (row wire
 segments, cross-point conductances, column wire segments, finite neuron
 input resistances) and solves it by dense direct factorization. Zero-ohm
-wire segments are handled structurally by node merging, so the degenerate
-all-ideal case reduces exactly to the matrix-vector product.
+wires are handled structurally by node merging: with zero row-wire
+resistance each whole row merges into its driver node, and with zero
+column-wire resistance each whole column merges into its neuron terminal.
+So the all-ideal case has no unknowns and reduces to the matrix-vector
+product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -120,7 +123,8 @@ class NonIdealSpec:
             r = np.full(n_cols, float(r))
         if r.shape != (n_cols,):
             raise ValueError(f"r_neuron_in must be scalar or length {n_cols}")
-        if self.r_wire_row < 0 or self.r_wire_col < 0 or np.any(r < 0):
+        # written so that NaN fails; +inf (an open circuit) passes
+        if not (self.r_wire_row >= 0 and self.r_wire_col >= 0 and np.all(r >= 0)):
             raise ValueError("non-ideality resistances must be >= 0")
         return r
 
@@ -136,7 +140,6 @@ class NodalSolution:
     neuron_currents: np.ndarray
     p_source: float
     p_dissipated: float
-    node_voltages: dict = field(default_factory=dict, repr=False)
 
 
 def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
@@ -155,184 +158,95 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
     return G.g.T @ v_rows
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _solve_network(G: ConductanceMatrix, x: Excitation, spec: NonIdealSpec) -> NodalSolution:
     rows, cols = G.n_rows, G.n_cols
     r_neuron = spec.neuron_resistances(cols)
+    voltage_mode = x.mode is ExcitationMode.VOLTAGE
 
-    # node numbering: ground, per-row driver nodes, row-side cross-point
+    # node numbering: ground 0, per-row driver nodes, row-side cross-point
     # nodes, column-side cross-point nodes, neuron terminal nodes
-    n_nodes = 1 + rows + rows * cols + rows * cols + cols
-    gnd = 0
+    src = 1 + np.arange(rows)
+    rnode = (1 + rows + np.arange(rows * cols)).reshape(rows, cols)
+    cnode = rnode + rows * cols
+    term = 1 + rows + 2 * rows * cols + np.arange(cols)
+    n_nodes = term[-1] + 1
 
-    def src(i):
-        return 1 + i
+    # zero-ohm wires merge a whole row into its driver or a whole column
+    # into its neuron terminal; no other merge is possible with scalar wires
+    rep = np.arange(n_nodes)
+    if spec.r_wire_row == 0.0:
+        rep[rnode] = src[:, None]
+    if spec.r_wire_col == 0.0:
+        rep[cnode] = term[None, :]
 
-    def rnode(i, j):
-        return 1 + rows + i * cols + j
+    # branch groups (a, c, g); zero-ohm branches are never created, so no
+    # branch lies inside one supernode
+    terminated = r_neuron > 0.0
+    ends = term[terminated]
+    groups = [(rnode, cnode, G.g), (ends, np.zeros_like(ends), 1.0 / r_neuron[terminated])]
+    if spec.r_wire_row > 0.0:  # driver feed, then between adjacent cross-points
+        groups.append((np.column_stack([src, rnode[:, :-1]]), rnode, 1.0 / spec.r_wire_row))
+    if spec.r_wire_col > 0.0:  # between adjacent cross-points, then terminal feed
+        groups.append((cnode, np.vstack([cnode[1:], term]), 1.0 / spec.r_wire_col))
+    a = rep[np.concatenate([np.ravel(ga) for ga, _, _ in groups])]
+    c = rep[np.concatenate([np.ravel(gc) for _, gc, _ in groups])]
+    g = np.concatenate([np.broadcast_to(gg, np.shape(ga)).ravel() for ga, _, gg in groups])
 
-    def cnode(i, j):
-        return 1 + rows + rows * cols + i * cols + j
+    # fixed potentials: ground, voltage-mode drivers and zero-resistance
+    # neuron terminals (ideal virtual ground); other supernodes are unknown
+    v = np.zeros(n_nodes)
+    is_unknown = rep == np.arange(n_nodes)
+    is_unknown[0] = False
+    is_unknown[term[~terminated]] = False
+    if voltage_mode:
+        is_unknown[src] = False
+        v[src] = x.values
+    unknown = np.flatnonzero(is_unknown)
+    k = np.full(n_nodes, -1)
+    k[unknown] = np.arange(unknown.size)
 
-    def nnode(j):
-        return 1 + rows + 2 * rows * cols + j
+    # stamp each branch from its near end p; v so far holds only fixed potentials
+    p, q, gpq = np.concatenate([a, c]), np.concatenate([c, a]), np.concatenate([g, g])
+    near, both = k[p] >= 0, (k[p] >= 0) & (k[q] >= 0)
+    A = np.zeros((unknown.size, unknown.size))
+    np.add.at(A, (k[p[near]], k[p[near]]), gpq[near])
+    np.add.at(A, (k[p[both]], k[q[both]]), -gpq[both])
+    b = np.bincount(k[p[near]], gpq[near] * v[q[near]], minlength=unknown.size)
+    if not voltage_mode:
+        b[k[src]] += x.values
 
-    branches: list[tuple[int, int, float]] = []  # (node_a, node_b, conductance)
-    uf = _UnionFind(n_nodes)
+    bad = np.flatnonzero(np.diag(A) == 0.0)
+    if bad.size:
+        node = int(unknown[bad[0]])
+        raise SingularNetworkError(
+            f"floating node (supernode {node}) has no conductance to the rest "
+            "of the network", node=node)
+    try:
+        v[unknown] = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as e:
+        raise SingularNetworkError(f"nodal system is singular: {e}") from e
 
-    def add_resistor(a: int, b: int, r: float) -> None:
-        if r == 0.0:
-            uf.union(a, b)
-        else:
-            branches.append((a, b, 1.0 / r))
-
-    # row wires: driver -> first cross-point, then between adjacent cross-points
-    for i in range(rows):
-        add_resistor(src(i), rnode(i, 0), spec.r_wire_row)
-        for j in range(1, cols):
-            add_resistor(rnode(i, j - 1), rnode(i, j), spec.r_wire_row)
-    # cross-point cells
-    for i in range(rows):
-        for j in range(cols):
-            branches.append((rnode(i, j), cnode(i, j), G.g[i, j]))
-    # column wires: between adjacent cross-points, then last -> neuron terminal
-    for j in range(cols):
-        for i in range(1, rows):
-            add_resistor(cnode(i - 1, j), cnode(i, j), spec.r_wire_col)
-        add_resistor(cnode(rows - 1, j), nnode(j), spec.r_wire_col)
-
-    # known-voltage nodes: ground; voltage-mode drivers; zero-resistance
-    # neuron terminals (ideal virtual ground)
-    known: dict[int, float] = {uf.find(gnd): 0.0}
-    if x.mode is ExcitationMode.VOLTAGE:
-        for i in range(rows):
-            rep = uf.find(src(i))
-            if rep in known and known[rep] != x.values[i]:
-                raise SingularNetworkError(
-                    f"row driver {i} shorted to a node at a different potential", node=src(i))
-            known[rep] = x.values[i]
-    for j in range(cols):
-        if r_neuron[j] == 0.0:
-            rep = uf.find(nnode(j))
-            if rep in known and known[rep] != 0.0:
-                raise SingularNetworkError(
-                    f"neuron terminal {j} shorted to a driven node", node=nnode(j))
-            known[rep] = 0.0
-        else:
-            branches.append((nnode(j), gnd, 1.0 / r_neuron[j]))
-
-    # unknown supernodes
-    reps = sorted({uf.find(n) for n in range(n_nodes)} - set(known))
-    index = {rep: k for k, rep in enumerate(reps)}
-    n_unknown = len(reps)
-    A = np.zeros((n_unknown, n_unknown))
-    b = np.zeros(n_unknown)
-    # current-mode injections
-    if x.mode is ExcitationMode.CURRENT:
-        for i in range(rows):
-            rep = uf.find(src(i))
-            if rep in known:
-                raise SingularNetworkError(
-                    f"current-driven row {i} merged into a fixed-potential node", node=src(i))
-            b[index[rep]] += x.values[i]
-
-    for a, c, g in branches:
-        ra, rc = uf.find(a), uf.find(c)
-        if ra == rc:
-            continue
-        ka, kc = index.get(ra), index.get(rc)
-        if ka is not None:
-            A[ka, ka] += g
-        if kc is not None:
-            A[kc, kc] += g
-        if ka is not None and kc is not None:
-            A[ka, kc] -= g
-            A[kc, ka] -= g
-        if ka is not None and rc in known:
-            b[ka] += g * known[rc]
-        if kc is not None and ra in known:
-            b[kc] += g * known[ra]
-
-    if n_unknown:
-        bad = np.where(np.diag(A) == 0.0)[0]
-        if bad.size:
-            raise SingularNetworkError(
-                f"floating node (supernode {reps[bad[0]]}) has no conductance to the rest "
-                "of the network", node=reps[bad[0]])
-        try:
-            v_unknown = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as e:
-            raise SingularNetworkError(f"nodal system is singular: {e}") from e
-    else:
-        v_unknown = np.zeros(0)
-
-    def volt(n: int) -> float:
-        rep = uf.find(n)
-        return known[rep] if rep in known else v_unknown[index[rep]]
-
-    # neuron currents: through the termination resistor, or the sum of branch
-    # currents entering the ideally-grounded terminal supernode
-    currents = np.zeros(cols)
-    for j in range(cols):
-        if r_neuron[j] > 0.0:
-            currents[j] = volt(nnode(j)) / r_neuron[j]
-        else:
-            rep = uf.find(nnode(j))
-            total = 0.0
-            for a, c, g in branches:
-                ra, rc = uf.find(a), uf.find(c)
-                if ra == rep and rc != rep:
-                    total += g * (volt(c) - 0.0)
-                elif rc == rep and ra != rep:
-                    total += g * (volt(a) - 0.0)
-            currents[j] = total
+    # branch currents a -> c and each node's net inflow; a neuron's current
+    # flows through its termination, or into its virtual-ground terminal
+    dv = v[a] - v[c]
+    i_b = g * dv
+    inflow = np.bincount(np.concatenate([c, a]), np.concatenate([i_b, -i_b]),
+                         minlength=n_nodes)
+    currents = inflow[term]
+    currents[terminated] = v[ends] / r_neuron[terminated]
 
     # power bookkeeping (Tellegen): source power vs sum over resistive branches
-    p_diss = 0.0
-    source_flow = np.zeros(rows)
-    for a, c, g in branches:
-        if uf.find(a) == uf.find(c):
-            continue
-        dv = volt(a) - volt(c)
-        p_diss += g * dv * dv
-        for i in range(rows):
-            rep_s = uf.find(src(i))
-            if uf.find(a) == rep_s:
-                source_flow[i] += g * dv
-            elif uf.find(c) == rep_s:
-                source_flow[i] -= g * dv
-    if x.mode is ExcitationMode.VOLTAGE:
-        p_src = float(np.dot(x.values, source_flow))
-    else:
-        p_src = float(sum(x.values[i] * volt(src(i)) for i in range(rows)))
-
-    voltages = {"drivers": np.array([volt(src(i)) for i in range(rows)]),
-                "neurons": np.array([volt(nnode(j)) for j in range(cols)])}
-    return NodalSolution(neuron_currents=currents, p_source=p_src,
-                         p_dissipated=p_diss, node_voltages=voltages)
+    p_src = -x.values @ inflow[src] if voltage_mode else x.values @ v[src]
+    return NodalSolution(neuron_currents=currents, p_source=float(p_src),
+                         p_dissipated=float(i_b @ dv))
 
 
 def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
                              spec: NonIdealSpec) -> NodalSolution:
     """Solve the full resistive network and return the per-neuron currents.
 
-    With an all-zero spec this reproduces the ideal dot product exactly
-    (nodes merge structurally; no ill-conditioned tiny resistors).
+    With an all-zero spec every node merges into a driver or a neuron terminal,
+    so this reproduces the ideal dot product to rounding (no tiny resistors).
     """
     if x.values.shape[0] != G.n_rows:
         raise ValueError(f"excitation length {x.values.shape[0]} != rows {G.n_rows}")

@@ -95,9 +95,7 @@ def run_experiment(cfg: SimConfig, kind: ExperimentKind,
                      calibrate=cfg["mc"]["calibration"],
                      vref=cfg["sar"]["vref_in"], nbits=cfg["sar"]["nbits"])
         rec = ReportRecord("mc", digest, seed, res.as_dict())
-        rows = [[i, float(res.v_in_pre[i]), float(res.v_in_post[i]), int(res.codes[i])]
-                for i in range(len(res.v_in_pre))]
-        rec.tables["samples"] = (["run_index", "v_in_pre", "v_in_post", "code"], rows)
+        rec.tables["samples"] = res.samples_table()
         return rec
 
     if kind is ExperimentKind.INFER:

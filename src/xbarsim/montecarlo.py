@@ -7,8 +7,6 @@ of evaluation order or worker count.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -66,6 +64,7 @@ class McResult:
     v_out_pre: np.ndarray
     v_out_post: np.ndarray
     codes: np.ndarray
+    run_index: np.ndarray  # the run r of each successful sample
     mean_pre: float
     std_pre: float
     mean_post: float
@@ -83,6 +82,12 @@ class McResult:
             "excluded": self.excluded, "out_of_range": self.out_of_range,
         }
 
+    def samples_table(self) -> tuple[list[str], list[list]]:
+        """Per-run samples as (header, rows), each row labelled by its run."""
+        rows = [[int(r), float(pre), float(post), int(code)] for r, pre, post, code
+                in zip(self.run_index, self.v_in_pre, self.v_in_post, self.codes)]
+        return ["run_index", "v_in_pre", "v_in_post", "code"], rows
+
 
 def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
            calibrate: bool = True, vref: float = 0.65,
@@ -97,7 +102,7 @@ def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     n = nbits if nbits is not None else nominal.dac.nbits
 
-    pre, post, vout_pre, vout_post, codes = [], [], [], [], []
+    pre, post, vout_pre, vout_post, codes, runs = [], [], [], [], [], []
     excluded = 0
     out_of_range = 0
     failures = []
@@ -124,6 +129,7 @@ def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
         vout_pre.append(op0.v_out)
         vout_post.append(opc.v_out)
         codes.append(code)
+        runs.append(r)
 
     pre = np.array(pre)
     post = np.array(post)
@@ -133,7 +139,7 @@ def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
         n_runs=n_runs, seed=seed, calibrated=calibrate, vref=vref, nbits=n,
         v_in_pre=pre, v_in_post=post,
         v_out_pre=np.array(vout_pre), v_out_post=np.array(vout_post),
-        codes=np.array(codes, dtype=int),
+        codes=np.array(codes, dtype=int), run_index=np.array(runs, dtype=int),
         mean_pre=float(np.mean(pre)), std_pre=float(np.std(pre, ddof=1)),
         mean_post=float(np.mean(post)), std_post=float(np.std(post, ddof=1)),
         excluded=excluded, out_of_range=out_of_range, failures=failures,
@@ -161,14 +167,3 @@ def compare_stats(a: McResult, b: McResult) -> StatsComparison:
         f"spread reduction factor: {factor:.3f}"
     )
     return StatsComparison(factor=factor, summary=summary)
-
-
-def samples_csv(result: McResult) -> str:
-    """Per-run samples in the documented CSV layout."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["run_index", "v_in_pre", "v_in_post", "code"])
-    for i in range(len(result.v_in_pre)):
-        w.writerow([i, repr(float(result.v_in_pre[i])), repr(float(result.v_in_post[i])),
-                    int(result.codes[i])])
-    return buf.getvalue()

@@ -14,13 +14,15 @@ def nodal_oracle_currents(g, v_in, r_wire_row, r_wire_col, r_neuron):
     """Brute-force dense solve of the crossbar network, voltage-mode.
 
     g: (rows, cols) cross-point conductances; v_in: per-row driver volts;
-    r_neuron: per-column termination to ground. All resistances must be > 0
-    (the oracle does no structural merging).
+    r_neuron: per-column termination to ground. Wire resistances must be > 0
+    (the oracle does no structural merging). A zero r_neuron ties that
+    terminal to ground: its node is pinned at 0 V by an identity row, and its
+    current is the one arriving through the column's feed segment.
     """
     g = np.asarray(g, float)
     rows, cols = g.shape
     r_neuron = np.broadcast_to(np.asarray(r_neuron, float), (cols,))
-    assert r_wire_row > 0 and r_wire_col > 0 and np.all(r_neuron > 0)
+    assert r_wire_row > 0 and r_wire_col > 0 and np.all(r_neuron >= 0)
 
     # unknown nodes: row-side crosspoints, column-side crosspoints, neuron terminals
     def rn(i, j):
@@ -57,11 +59,16 @@ def nodal_oracle_currents(g, v_in, r_wire_row, r_wire_col, r_neuron):
     for j in range(cols):
         for i in range(1, rows):
             stamp(cn(i - 1, j), cn(i, j), gc)
-        stamp(cn(rows - 1, j), nn(j), gc)               # feed to neuron terminal
-        stamp_to_known(nn(j), 1.0 / r_neuron[j], 0.0)   # termination to ground
+        if r_neuron[j] > 0:
+            stamp(cn(rows - 1, j), nn(j), gc)               # feed to neuron terminal
+            stamp_to_known(nn(j), 1.0 / r_neuron[j], 0.0)   # termination to ground
+        else:
+            stamp_to_known(cn(rows - 1, j), gc, 0.0)        # feed to grounded terminal
+            A[nn(j), nn(j)] = 1.0
 
     v = np.linalg.solve(A, b)
-    return np.array([v[nn(j)] / r_neuron[j] for j in range(cols)])
+    return np.array([v[nn(j)] / r_neuron[j] if r_neuron[j] > 0
+                     else gc * v[cn(rows - 1, j)] for j in range(cols)])
 
 
 def nodal_oracle_zero_wire(g, v_in, r_neuron):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarsim.crossbar import (ConductanceMatrix, NonIdealSpec,
                               SingularNetworkError, current_excitation,
@@ -145,6 +149,75 @@ class TestNonIdeal:
         assert sol.p_source == pytest.approx(sol.p_dissipated, rel=1e-9)
 
 
+dims = st.integers(1, 6)
+seeds = st.integers(0, 2**32 - 1)
+wires = st.floats(0.1, 10.0)
+wires_or_zero = st.one_of(st.just(0.0), wires)
+
+
+def random_terminations(rng, cols, zeros):
+    """Per-column neuron resistances; with zeros, some columns are grounded."""
+    r_n = rng.uniform(10.0, 1e4, cols)
+    if zeros:
+        r_n[rng.random(cols) < 0.5] = 0.0
+    return r_n
+
+
+class TestNodalProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(dims, dims, seeds, wires, wires, st.booleans())
+    def test_wired_matches_dense_oracle(self, rows, cols, seed, r_row, r_col, zeros):
+        rng = np.random.default_rng(seed)
+        G = random_gmat(rng, rows, cols)
+        v = rng.uniform(0, 1, rows)
+        r_n = random_terminations(rng, cols, zeros)
+        sol = output_currents_nonideal(G, voltage_excitation(v),
+                                       NonIdealSpec(r_row, r_col, r_n))
+        ref = nodal_oracle_currents(G.g, v, r_row, r_col, r_n)
+        assert sol.neuron_currents == pytest.approx(ref, rel=1e-9)
+        assert sol.p_source == pytest.approx(sol.p_dissipated, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, dims, seeds)
+    def test_zero_wire_matches_closed_form(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        G = random_gmat(rng, rows, cols)
+        v = rng.uniform(0, 1, rows)
+        r_n = random_terminations(rng, cols, False)
+        sol = output_currents_nonideal(G, voltage_excitation(v), NonIdealSpec(0, 0, r_n))
+        assert sol.neuron_currents == pytest.approx(
+            nodal_oracle_zero_wire(G.g, v, r_n), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, dims, seeds, st.sampled_from([voltage_excitation, current_excitation]))
+    def test_zero_spec_matches_ideal(self, rows, cols, seed, excite):
+        rng = np.random.default_rng(seed)
+        G = random_gmat(rng, rows, cols)
+        x = excite(rng.uniform(1e-6, 1e-5, rows))
+        sol = output_currents_nonideal(G, x, NonIdealSpec(0, 0, 0))
+        assert sol.neuron_currents == pytest.approx(output_currents_ideal(G, x), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, dims, seeds, wires_or_zero, wires_or_zero, st.booleans())
+    def test_current_mode_conserves_charge_and_power(self, rows, cols, seed, r_row, r_col,
+                                                     zeros):
+        rng = np.random.default_rng(seed)
+        G = random_gmat(rng, rows, cols)
+        i_src = rng.uniform(1e-6, 1e-5, rows)
+        r_n = random_terminations(rng, cols, zeros)
+        sol = output_currents_nonideal(G, current_excitation(i_src),
+                                       NonIdealSpec(r_row, r_col, r_n))
+        assert sol.neuron_currents.sum() == pytest.approx(i_src.sum(), rel=1e-9)
+        assert sol.p_source == pytest.approx(sol.p_dissipated, rel=1e-9)
+
+    def test_floating_node_reported(self):
+        G = gmat([[1e-3, 2e-3], [3e-3, 4e-3]])
+        with pytest.raises(SingularNetworkError, match="floating node") as e:
+            output_currents_nonideal(G, voltage_excitation([0.1, 0.2]),
+                                     NonIdealSpec(1.0, math.inf, math.inf))
+        assert isinstance(e.value.node, int)
+
+
 class TestErrorMetric:
     def test_zero_spec_zero_error(self):
         rng = np.random.default_rng(10)
@@ -185,6 +258,11 @@ class TestValidation:
 
     def test_negative_resistance_rejected(self):
         G = gmat([[1e-3]])
-        with pytest.raises(ValueError):
-            output_currents_nonideal(G, voltage_excitation([1.0]),
-                                     NonIdealSpec(-1.0, 0, 0))
+        nan = float("nan")
+        for spec in [NonIdealSpec(-1.0, 0, 0), NonIdealSpec(nan, 1, 100),
+                     NonIdealSpec(1, nan, 100), NonIdealSpec(1, 1, nan),
+                     NonIdealSpec(1, 1, [nan])]:
+            with pytest.raises(ValueError):
+                output_currents_nonideal(G, voltage_excitation([1.0]), spec)
+        # +inf is an open circuit, not an error
+        NonIdealSpec(1, 1, math.inf).neuron_resistances(1)

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from xbarsim import montecarlo
+from xbarsim.config import parse_config
+from xbarsim.experiments import ExperimentKind, run_experiment
 from xbarsim.montecarlo import (MismatchSpec, compare_stats, run_mc, run_rng,
-                                sample_params, samples_csv)
-from xbarsim.neuron import dac_current, reference_params, solve_dc
+                                sample_params)
+from xbarsim.neuron import SolverError, dac_current, reference_params, solve_dc
+from xbarsim.reports import ReportFormat, emit_report
 
 from oracles import two_pass_std
 
@@ -117,11 +121,33 @@ class TestReporting:
         cal = run_mc(NOM, MismatchSpec(), n_runs=100, seed=6, calibrate=True)
         assert compare_stats(uncal, cal).factor >= 2.0
 
-    def test_samples_csv_layout(self):
-        res = run_mc(NOM, MismatchSpec(), n_runs=5, seed=8)
-        lines = samples_csv(res).strip().split("\n")
+    def test_report_csv_layout(self):
+        cfg = parse_config("{}")
+        rec = run_experiment(cfg, ExperimentKind.MC, seed=8, runs=5)
+        lines = emit_report(rec, ReportFormat.CSV).decode("ascii").strip().split("\n")
         assert lines[0] == "run_index,v_in_pre,v_in_post,code"
         assert len(lines) == 6
         first = lines[1].split(",")
         assert int(first[0]) == 0
-        assert float(first[1]) == res.v_in_pre[0]
+        p = sample_params(cfg.neuron_params(), cfg.mismatch_spec(), run_rng(8, 0))
+        assert float(first[1]) == solve_dc(p).v_in
+
+    def test_report_rows_keep_run_index_after_exclusion(self, monkeypatch):
+        cfg = parse_config("{}")
+        nominal, spec = cfg.neuron_params(), cfg.mismatch_spec()
+        failing = sample_params(nominal, spec, run_rng(8, 2))
+
+        def solve_dc_failing_run_2(p, *args):
+            if p == failing:
+                raise SolverError("forced failure")
+            return solve_dc(p, *args)
+
+        monkeypatch.setattr(montecarlo, "solve_dc", solve_dc_failing_run_2)
+        rec = run_experiment(cfg, ExperimentKind.MC, seed=8, runs=5)
+        lines = emit_report(rec, ReportFormat.CSV).decode("ascii").strip().split("\n")
+        assert rec.payload["excluded"] == 1
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == [0, 1, 3, 4]
+        for row in rows:
+            p = sample_params(nominal, spec, run_rng(8, int(row[0])))
+            assert float(row[1]) == solve_dc(p).v_in
