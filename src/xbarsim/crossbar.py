@@ -46,7 +46,8 @@ class ConductanceMatrix:
             raise ValueError(f"conductance matrix must be 2-D, got shape {self.g.shape}")
         if not (0.0 < self.g_min <= self.g_max):
             raise ValueError(f"need 0 < g_min <= g_max, got {self.g_min}, {self.g_max}")
-        if np.any(self.g < self.g_min) or np.any(self.g > self.g_max):
+        # written so that NaN fails
+        if not (np.all(self.g >= self.g_min) and np.all(self.g <= self.g_max)):
             raise ValueError("conductance entries outside [g_min, g_max]")
 
     @property
@@ -162,6 +163,11 @@ def _solve_network(G: ConductanceMatrix, x: Excitation, spec: NonIdealSpec) -> N
     rows, cols = G.n_rows, G.n_cols
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
+    # current sources fix no potential: only a termination at the end of a
+    # column wire ties the array to ground
+    if not voltage_mode and (np.isinf(spec.r_wire_col) or np.all(np.isinf(r_neuron))):
+        raise SingularNetworkError("current-mode network has no path to ground: the "
+                                   "column wires or all neuron terminations are open")
 
     # node numbering: ground 0, per-row driver nodes, row-side cross-point
     # nodes, column-side cross-point nodes, neuron terminal nodes

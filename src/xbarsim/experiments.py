@@ -117,8 +117,8 @@ def run_experiment(cfg: SimConfig, kind: ExperimentKind,
                              mismatch_seed=seed, vref_in=cfg["sar"]["vref_in"])
         agree = 0
         total = 0
-        out_bits = []
-        for x in inputs:
+        out_bits, failures = [], []
+        for k, x in enumerate(inputs):
             ref = infer(layers, x, Fidelity.IDEAL_MATH)
             if fidelity is Fidelity.IDEAL_MATH:
                 got = ref
@@ -127,9 +127,10 @@ def run_experiment(cfg: SimConfig, kind: ExperimentKind,
             agree += int(np.sum(got.bits[-1] == ref.bits[-1]))
             total += len(ref.bits[-1])
             out_bits.append([int(b) for b in got.bits[-1]])
+            failures += [[k, li, j, reason] for li, j, reason in got.failures]
         payload = {"fidelity": fidelity.value, "n_inputs": len(inputs),
                    "bit_agreement_with_ideal": agree / total,
-                   "output_bits": out_bits}
+                   "output_bits": out_bits, "failures": failures}
         return ReportRecord("infer", digest, seed, payload)
 
     if kind is ExperimentKind.ENERGY:

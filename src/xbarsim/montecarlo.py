@@ -80,6 +80,7 @@ class McResult:
             "mean_pre": self.mean_pre, "std_pre": self.std_pre,
             "mean_post": self.mean_post, "std_post": self.std_post,
             "excluded": self.excluded, "out_of_range": self.out_of_range,
+            "failures": [[r, reason] for r, reason in self.failures],
         }
 
     def samples_table(self) -> tuple[list[str], list[list]]:

@@ -5,6 +5,8 @@ digital baseline.
 Signed weights use the standard differential-column idiom: two physical
 columns per logical output, positive magnitudes on one side, negative on
 the other, unused side parked at g_min; the neuron subtracts the pair.
+The circuit tiers read each comparator directly, v_out against the same
+neuron's quiescent v_out; no transfer-curve fit is made.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 from .crossbar import (ConductanceMatrix, NonIdealSpec, output_currents_ideal,
                        output_currents_nonideal, voltage_excitation)
 from .montecarlo import MismatchSpec, run_rng, sample_params
-from .neuron import RgcParams, SolverError, solve_dc, transfer_curve
+# transfer_curve is unused here; the benchmark tracer patches it by this name
+from .neuron import RgcParams, SolverError, solve_dc, transfer_curve  # noqa: F401
 from .sar import Direction, sar_calibrate
 
 
@@ -132,34 +135,23 @@ def _ideal_math(layers: list[LayerSpec], x: np.ndarray) -> InferenceResult:
 
 @dataclass
 class CircuitContext:
-    """Shared circuit-level settings for crossbar-backed inference."""
+    """Shared circuit-level settings for crossbar-backed inference. With a
+    mismatch spec each neuron is a seeded mismatched instance, SAR-trimmed to
+    vref_in and read directly; no transfer-curve fit is made."""
 
     neuron: RgcParams
     v_read: float = 0.1           # volts per unit input
-    i_fit_span: float = 2e-6      # transfer-curve fit span around quiescent
     nonideal: NonIdealSpec | None = None
     mismatch: MismatchSpec | None = None
     mismatch_seed: int = 0
     vref_in: float = 0.65
-    calibrate: bool = True
-
-
-def _neuron_gain(p: RgcParams, code: int, span: float) -> tuple[float, float]:
-    """Linear-fit transimpedance slope and quiescent output of one neuron."""
-    sweep = np.linspace(-span, span, 11)
-    tc = transfer_curve(p, code, sweep)
-    vq = solve_dc(p, 0.0, code).v_out
-    return tc.slope, vq
 
 
 def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
              nonideal: bool) -> InferenceResult:
-    pres, bits = [], []
-    failures = []
+    pres, bits, failures = [], [], []
     p_crossbar = 0.0
     v = np.asarray(x, dtype=float)
-    # one reference gain fit per run (per-neuron re-fit happens for mismatch)
-    slope_ref, vq_ref = _neuron_gain(ctx.neuron, 0, ctx.i_fit_span)
     for li, layer in enumerate(layers):
         exc = voltage_excitation(v * ctx.v_read)
         if nonideal and ctx.nonideal is not None:
@@ -176,33 +168,25 @@ def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
         i_diff = i_plus - i_minus
         pre = i_diff / (layer.scale * ctx.v_read)
 
+        # v_out rises with i_in, so the comparator against the neuron's own
+        # quiescent v_out reads sign(i_diff); a failed solve keeps that bit
+        b = i_diff >= 0.0
         if nonideal and ctx.mismatch is not None:
-            # per-neuron mismatched instance, SAR-calibrated, re-solved per input
-            v_out = np.zeros(layer.n_out)
-            vq = np.zeros(layer.n_out)
             for j in range(layer.n_out):
                 rng = run_rng(ctx.mismatch_seed, li * 4096 + j)
                 pj = sample_params(ctx.neuron, ctx.mismatch, rng)
                 code = 0
-                if ctx.calibrate:
-                    try:
-                        code = sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in,
-                                             ctx.vref_in, pj.dac.nbits,
-                                             Direction.INCREASING).code
-                    except SolverError as e:
-                        failures.append((li, j, str(e)))
                 try:
-                    slope_j, vq_j = _neuron_gain(pj, code, ctx.i_fit_span)
-                    v_out[j] = solve_dc(pj, float(i_diff[j]), code).v_out
-                    vq[j] = vq_j
+                    code = sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in,
+                                         ctx.vref_in, pj.dac.nbits,
+                                         Direction.INCREASING).code
                 except SolverError as e:
                     failures.append((li, j, str(e)))
-                    v_out[j] = vq_ref + slope_ref * i_diff[j]
-                    vq[j] = vq_ref
-            b = v_out >= vq
-        else:
-            v_out = vq_ref + slope_ref * i_diff
-            b = v_out >= vq_ref
+                try:
+                    b[j] = (solve_dc(pj, float(i_diff[j]), code).v_out
+                            >= solve_dc(pj, 0.0, code).v_out)
+                except SolverError as e:
+                    failures.append((li, j, str(e)))
         pres.append(pre)
         bits.append(b)
         v = b.astype(float) if layer.activation is Activation.THRESHOLD else pre

@@ -127,7 +127,7 @@ def emit_report(record: ReportRecord, fmt: ReportFormat = ReportFormat.JSON) -> 
                 for k in sorted(o):
                     walk(f"{prefix}{k}.", o[k])
             elif isinstance(o, list):
-                lines.append(f"{prefix[:-1]} = [{', '.join(_fmt(v) for v in o[:8])}"
+                lines.append(f"{prefix[:-1]} = [{', '.join(map(canonical_json, o[:8]))}"
                              f"{', ...' if len(o) > 8 else ''}]")
             else:
                 lines.append(f"{prefix[:-1]} = {_fmt(o)}")

@@ -217,6 +217,15 @@ class TestNodalProperties:
                                      NonIdealSpec(1.0, math.inf, math.inf))
         assert isinstance(e.value.node, int)
 
+    @pytest.mark.parametrize("spec", [
+        NonIdealSpec(5.0, 5.0, math.inf), NonIdealSpec(5.0, 0.0, math.inf),
+        NonIdealSpec(0.0, 0.0, math.inf), NonIdealSpec(5.0, math.inf, 1e3),
+    ])
+    def test_current_mode_without_ground_path_reported(self, spec):
+        G = gmat([[1e-3, 1e-3], [1e-3, 1e-3]])
+        with pytest.raises(SingularNetworkError, match="no path to ground"):
+            output_currents_nonideal(G, current_excitation([1e-6, 2e-6]), spec)
+
 
 class TestErrorMetric:
     def test_zero_spec_zero_error(self):
@@ -239,8 +248,9 @@ class TestErrorMetric:
 
 class TestValidation:
     def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            ConductanceMatrix(np.array([[2e-3]]), g_min=1e-6, g_max=1e-3)
+        for g in [2e-3, float("nan")]:
+            with pytest.raises(ValueError):
+                ConductanceMatrix(np.array([[g, 1e-3]]), g_min=1e-6, g_max=1e-3)
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -172,6 +172,9 @@ class TestExperiments:
         rec = run_experiment(cfg, ExperimentKind.INFER, seed=3)
         assert rec.payload["bit_agreement_with_ideal"] == 1.0
         assert len(rec.payload["output_bits"]) == 5
+        text = emit_report(rec, ReportFormat.TEXT).decode("ascii")
+        assert "output_bits = [[" in text
+        assert "failures = []" in text
 
     def test_infer_without_layers_is_config_error(self):
         with pytest.raises(ConfigError, match="layers"):

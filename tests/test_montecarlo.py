@@ -146,6 +146,7 @@ class TestReporting:
         rec = run_experiment(cfg, ExperimentKind.MC, seed=8, runs=5)
         lines = emit_report(rec, ReportFormat.CSV).decode("ascii").strip().split("\n")
         assert rec.payload["excluded"] == 1
+        assert rec.payload["failures"] == [[2, "forced failure"]]
         rows = [line.split(",") for line in lines[1:]]
         assert [int(row[0]) for row in rows] == [0, 1, 3, 4]
         for row in rows:

@@ -1,13 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+from xbarsim import network
+from xbarsim.config import parse_config
 from xbarsim.crossbar import NonIdealSpec
-from xbarsim.montecarlo import MismatchSpec
+from xbarsim.experiments import ExperimentKind, run_experiment
+from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
 from xbarsim.network import (Activation, CircuitContext, Fidelity, LayerSpec,
                              crossbar_energy_ideal, dequantize,
                              digital_baseline, energy_estimate, infer,
                              map_weights)
-from xbarsim.neuron import reference_params
+from xbarsim.neuron import SolverError, reference_params, solve_dc
 
 G_MIN, G_MAX = 1e-7, 1e-5
 
@@ -149,6 +154,32 @@ class TestInference:
         b = infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, ctx)
         assert np.array_equal(a.outputs, b.outputs)
         assert all(np.array_equal(p, q) for p, q in zip(a.bits, b.bits))
+
+    def test_failed_neuron_reported_and_keeps_sign_bit(self, monkeypatch, tmp_path):
+        w = [[1.0, -0.5, 0.25], [-0.75, 0.5, 1.0]]
+        xs = np.random.default_rng(6).uniform(-1, 1, (4, 3))
+        np.savetxt(tmp_path / "x.csv", xs, delimiter=",")
+        cfg = parse_config(json.dumps({"network": {
+            "layers": [{"values": w}], "inputs_csv": "x.csv",
+            "fidelity": "circuit_nonideal"}}), base_dir=tmp_path)
+        # the mismatched instance of layer 0, neuron 1
+        failing = sample_params(cfg.neuron_params(), cfg.mismatch_spec(), run_rng(9, 1))
+
+        def solve_dc_failing_neuron_1(p, *args):
+            if p == failing:
+                raise SolverError("forced failure")
+            return solve_dc(p, *args)
+
+        monkeypatch.setattr(network, "solve_dc", solve_dc_failing_neuron_1)
+        payload = run_experiment(cfg, ExperimentKind.INFER, seed=9).payload
+        assert {tuple(f[:3]) for f in payload["failures"]} == {(k, 0, 1) for k in range(4)}
+        assert {f[3] for f in payload["failures"]} == {"forced failure"}
+        net = cfg["network"]
+        layer = map_weights(np.array(w), net["bits"], net["g_min"], net["g_max"])
+        for x, out in zip(xs, payload["output_bits"]):
+            v = x * net["v_read"]
+            pre = layer.g_plus.g.T @ v - layer.g_minus.g.T @ v
+            assert out[1] == int(pre[1] >= 0.0)
 
 
 class TestEnergy:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xbarsim.devices import MosEval, MosParams, Region
+from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
 from xbarsim.neuron import (DacSpec, OperatingPoint, RgcParams, SolverError,
                             dac_current, gain_numeric, gm_tuned,
                             reference_params, rout_numeric, small_signal,
                             solve_dc, transfer_curve, zin_numeric)
+from xbarsim.sar import Direction, sar_calibrate
 
 from oracles import bisect
 
@@ -219,3 +223,19 @@ class TestTransferCurve:
         tc = transfer_curve(p, 0, [0.0, 1e-6, 10e-6])  # 10 uA exceeds ib
         assert len(tc.infeasible) == 1
         assert len(tc.v_out) == 2
+
+    # the comparator's sign bit rests on v_out rising with i_in at every code
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), run=st.integers(0, 10_000))
+    @example(seed=11, run=191)  # Newton stalls at code 0, i_in = -4 uA
+    def test_v_out_increasing_in_i_in_under_mismatch(self, seed, run):
+        p = sample_params(reference_params(), MismatchSpec(), run_rng(seed, run))
+        codes = [0, (1 << p.dac.nbits) - 1]
+        try:
+            codes.append(sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, 0.65,
+                                       p.dac.nbits, Direction.INCREASING).code)
+        except SolverError:
+            pass  # a stalled SAR search leaves the two fixed codes to check
+        for code in codes:
+            tc = transfer_curve(p, code, np.linspace(-4e-6, 4e-6, 17))
+            assert np.all(np.diff(tc.v_out) > 0.0), (code, tc.infeasible)
