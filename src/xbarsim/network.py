@@ -6,7 +6,8 @@ Signed weights use the standard differential-column idiom: two physical
 columns per logical output, positive magnitudes on one side, negative on
 the other, unused side parked at g_min; the neuron subtracts the pair.
 The circuit tiers read each comparator directly, v_out against the same
-neuron's quiescent v_out; no transfer-curve fit is made.
+neuron's quiescent v_out; no transfer-curve fit is made. Mismatched neurons
+are sampled and SAR-trimmed once per CircuitContext and reused for every input.
 """
 
 from __future__ import annotations
@@ -133,11 +134,15 @@ def _ideal_math(layers: list[LayerSpec], x: np.ndarray) -> InferenceResult:
                            pre_activations=pres)
 
 
-@dataclass
+_STREAMS_PER_LAYER = 4096  # layer li, neuron j draws stream li * 4096 + j
+
+
+@dataclass(frozen=True)
 class CircuitContext:
     """Shared circuit-level settings for crossbar-backed inference. With a
-    mismatch spec each neuron is a seeded mismatched instance, SAR-trimmed to
-    vref_in and read directly; no transfer-curve fit is made."""
+    mismatch spec the context is one chip: each neuron is a seeded mismatched
+    instance, sampled and SAR-trimmed to vref_in once, on first use, and
+    reused for every input; bits are read directly, with no transfer-curve fit."""
 
     neuron: RgcParams
     v_read: float = 0.1           # volts per unit input
@@ -145,10 +150,37 @@ class CircuitContext:
     mismatch: MismatchSpec | None = None
     mismatch_seed: int = 0
     vref_in: float = 0.65
+    _trims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _trimmed(ctx: CircuitContext, li: int, j: int) -> tuple:
+    """(params, SAR code, quiescent v_out, calibration failure reasons,
+    quiescent failure reason) of layer li's neuron j; none depends on the
+    input. A failed SAR keeps code 0; a failed quiescent solve gives None."""
+    if (li, j) not in ctx._trims:
+        pj = sample_params(ctx.neuron, ctx.mismatch,
+                           run_rng(ctx.mismatch_seed, li * _STREAMS_PER_LAYER + j))
+        code, v_q, cal_failures, q_failure = 0, None, (), None
+        try:
+            code = sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in, ctx.vref_in,
+                                 pj.dac.nbits, Direction.INCREASING).code
+        except SolverError as e:
+            cal_failures = (str(e),)
+        try:
+            v_q = solve_dc(pj, 0.0, code).v_out
+        except SolverError as e:
+            q_failure = str(e)
+        ctx._trims[li, j] = (pj, code, v_q, cal_failures, q_failure)
+    return ctx._trims[li, j]
 
 
 def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
              nonideal: bool) -> InferenceResult:
+    if nonideal and ctx.mismatch is not None:
+        for li, layer in enumerate(layers):
+            if layer.n_out > _STREAMS_PER_LAYER:
+                raise ValueError(f"layer {li} has {layer.n_out} outputs; mismatch "
+                                 f"streams alias past {_STREAMS_PER_LAYER} per layer")
     pres, bits, failures = [], [], []
     p_crossbar = 0.0
     v = np.asarray(x, dtype=float)
@@ -173,20 +205,17 @@ def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
         b = i_diff >= 0.0
         if nonideal and ctx.mismatch is not None:
             for j in range(layer.n_out):
-                rng = run_rng(ctx.mismatch_seed, li * 4096 + j)
-                pj = sample_params(ctx.neuron, ctx.mismatch, rng)
-                code = 0
+                pj, code, v_q, cal_failures, q_failure = _trimmed(ctx, li, j)
+                failures += [(li, j, reason) for reason in cal_failures]
                 try:
-                    code = sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in,
-                                         ctx.vref_in, pj.dac.nbits,
-                                         Direction.INCREASING).code
+                    v_j = solve_dc(pj, float(i_diff[j]), code).v_out
                 except SolverError as e:
                     failures.append((li, j, str(e)))
-                try:
-                    b[j] = (solve_dc(pj, float(i_diff[j]), code).v_out
-                            >= solve_dc(pj, 0.0, code).v_out)
-                except SolverError as e:
-                    failures.append((li, j, str(e)))
+                    continue
+                if q_failure is not None:
+                    failures.append((li, j, q_failure))
+                else:
+                    b[j] = v_j >= v_q
         pres.append(pre)
         bits.append(b)
         v = b.astype(float) if layer.activation is Activation.THRESHOLD else pre

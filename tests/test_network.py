@@ -1,7 +1,11 @@
 import json
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarsim import network
 from xbarsim.config import parse_config
@@ -13,6 +17,7 @@ from xbarsim.network import (Activation, CircuitContext, Fidelity, LayerSpec,
                              digital_baseline, energy_estimate, infer,
                              map_weights)
 from xbarsim.neuron import SolverError, reference_params, solve_dc
+from xbarsim.sar import sar_calibrate
 
 G_MIN, G_MAX = 1e-7, 1e-5
 
@@ -180,6 +185,123 @@ class TestInference:
             v = x * net["v_read"]
             pre = layer.g_plus.g.T @ v - layer.g_minus.g.T @ v
             assert out[1] == int(pre[1] >= 0.0)
+
+
+class TestCalibrateOnce:
+    """A mismatched CircuitContext samples and SAR-trims each neuron once and
+    reuses that trim for every input."""
+
+    @staticmethod
+    def _ctx(mismatch_seed, nonideal=NonIdealSpec(1.0, 1.0, 100.0)):
+        return CircuitContext(neuron=reference_params(), v_read=0.025,
+                              nonideal=nonideal, mismatch=MismatchSpec(),
+                              mismatch_seed=mismatch_seed)
+
+    @staticmethod
+    def _count_calls(monkeypatch, *names):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(network, name, counted(name, getattr(network, name)))
+        return calls
+
+    @settings(max_examples=25, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), mismatch_seed=st.integers(0, 2**32 - 1),
+           widths=st.tuples(*[st.integers(1, 4)] * 3), n_inputs=st.integers(1, 4),
+           failing_neuron=st.tuples(st.integers(0, 1), st.integers(0, 3)),
+           fail_when=st.sampled_from([None, "at zero", "off zero", "positive"]))
+    def test_reused_context_matches_fresh_context_per_input(
+            self, net_seed, mismatch_seed, widths, n_inputs, failing_neuron, fail_when):
+        # a fresh context per input recalibrates every neuron for every input
+        rng = np.random.default_rng(net_seed)
+        layers = [mapped(rng.uniform(-1, 1, (n_out, n_in)))
+                  for n_in, n_out in zip(widths, widths[1:])]
+        xs = rng.uniform(-1, 1, (n_inputs, widths[0]))
+        li, j = failing_neuron
+        failing = sample_params(reference_params(), MismatchSpec(),
+                                run_rng(mismatch_seed, li * 4096 + j))
+        # each rule fails a different set of the neuron's solves: the SAR
+        # trials and the quiescent point, the readout, or one readout sign
+        fails = {None: lambda i_in: False, "at zero": lambda i_in: i_in == 0.0,
+                 "off zero": lambda i_in: i_in != 0.0,
+                 "positive": lambda i_in: i_in > 0.0}[fail_when]
+
+        def solve_dc_failing(p, i_in=0.0, code=0):
+            if p == failing and fails(i_in):
+                raise SolverError(f"forced failure at i_in {i_in!r}, code {code}")
+            return solve_dc(p, i_in, code)
+
+        ctx = self._ctx(mismatch_seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "solve_dc", solve_dc_failing)
+            for x in xs:
+                got = infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, ctx)
+                ref = infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, self._ctx(mismatch_seed))
+                assert [b.tolist() for b in got.bits] == [b.tolist() for b in ref.bits]
+                assert np.array_equal(got.outputs, ref.outputs)
+                assert got.crossbar_power == ref.crossbar_power
+                assert got.failures == ref.failures
+
+    @pytest.mark.parametrize("fail_when, expected", [
+        (lambda i_in: True, ["zero-input failure at code 32", "readout failure at code 0"]),
+        (lambda i_in: i_in == 0.0, ["zero-input failure at code 32",
+                                    "zero-input failure at code 0"]),
+        (lambda i_in: i_in != 0.0, ["readout failure at code {code}"]),
+    ])
+    def test_failures_listed_on_every_input_in_order(self, monkeypatch, fail_when, expected):
+        # what recalibrating on every input listed: a failed SAR (its first
+        # trial is the MSB, code 32) and then either the failed readout or,
+        # if only the quiescent solve at the kept code failed, that one
+        layers = [mapped([[1.0, -0.5], [-0.75, 0.25]])]
+        failing = sample_params(reference_params(), MismatchSpec(), run_rng(3, 1))
+        trim_code = sar_calibrate(lambda c: solve_dc(failing, 0.0, c).v_in, 0.65,
+                                  failing.dac.nbits).code
+
+        def solve_dc_failing(p, i_in=0.0, code=0):
+            if p == failing and fail_when(i_in):
+                kind = "zero-input" if i_in == 0.0 else "readout"
+                raise SolverError(f"{kind} failure at code {code}")
+            return solve_dc(p, i_in, code)
+
+        monkeypatch.setattr(network, "solve_dc", solve_dc_failing)
+        ctx = self._ctx(3)
+        for x in ([1.0, 0.5], [-1.0, 0.5], [1.0, 0.5]):
+            got = infer(layers, np.array(x), Fidelity.CIRCUIT_NONIDEAL, ctx)
+            assert got.failures == [(0, 1, r.format(code=trim_code)) for r in expected]
+            assert got.bits[0][1] == (got.pre_activations[0][1] >= 0.0)
+
+    def test_second_input_solves_each_neuron_once(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        layers = [mapped(rng.uniform(-1, 1, (4, 6))), mapped(rng.uniform(-1, 1, (3, 4)))]
+        calls = self._count_calls(monkeypatch, "solve_dc", "sar_calibrate", "sample_params")
+        ctx = self._ctx(11)
+        infer(layers, rng.uniform(-1, 1, 6), Fidelity.CIRCUIT_NONIDEAL, ctx)
+        assert calls["sar_calibrate"] == calls["sample_params"] == 4 + 3
+        calls.clear()
+        infer(layers, rng.uniform(-1, 1, 6), Fidelity.CIRCUIT_NONIDEAL, ctx)
+        assert calls == {"solve_dc": 4 + 3}
+
+    def test_context_is_frozen(self):
+        ctx = self._ctx(0)
+        with pytest.raises(FrozenInstanceError):
+            ctx.mismatch_seed = 1
+
+    def test_layer_wider_than_mismatch_stream_rejected(self, monkeypatch):
+        # neuron 4096 of layer 1 would draw the stream of neuron 0 of layer 2
+        layers = [mapped([[1.0]]), mapped(np.ones((4097, 1)))]
+        calls = self._count_calls(monkeypatch, "solve_dc")
+        ctx = self._ctx(0, nonideal=None)
+        with pytest.raises(ValueError, match="layer 1 has 4097 outputs"):
+            infer(layers, np.ones(1), Fidelity.CIRCUIT_NONIDEAL, ctx)
+        assert not calls
+        # CIRCUIT_IDEAL draws no mismatch stream, so the width is fine
+        assert len(infer(layers, np.ones(1), Fidelity.CIRCUIT_IDEAL, ctx).bits[1]) == 4097
 
 
 class TestEnergy:
