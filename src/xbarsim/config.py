@@ -275,7 +275,8 @@ def _check_invariants(data: dict):
     c = data["crossbar"]
     require(c["rows"] >= 1 and c["cols"] >= 1, "crossbar.rows", "dimensions must be >= 1")
     require(0 < c["g_min"] <= c["g_max"], "crossbar.g_min", "need 0 < g_min <= g_max")
-    require(data["sar"]["nbits"] >= 1, "sar.nbits", "must be >= 1")
+    require(1 <= data["sar"]["nbits"] <= n["dac"]["nbits"], "sar.nbits",
+            "must be in [1, neuron.dac.nbits]")
     require(data["sar"]["grid_n"] >= 1, "sar.grid_n", "must be >= 1")
     m = data["mismatch"]
     require(m["sigma_vt"] >= 0 and m["sigma_beta_rel"] >= 0,

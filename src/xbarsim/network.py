@@ -5,9 +5,10 @@ digital baseline.
 Signed weights use the standard differential-column idiom: two physical
 columns per logical output, positive magnitudes on one side, negative on
 the other, unused side parked at g_min; the neuron subtracts the pair.
-The circuit tiers read each comparator directly, v_out against the same
-neuron's quiescent v_out; no transfer-curve fit is made. Mismatched neurons
-are sampled and SAR-trimmed once per CircuitContext and reused for every input.
+The circuit tiers read each comparator as i_diff >= 0: by KCL a solved neuron
+has v_out = vdd - r_load*(ib - i_in - i_dac_out), free of device parameters,
+so no neuron is solved per input. Mismatched neurons are still sampled and
+SAR-trimmed once per CircuitContext, to report calibration failures.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .crossbar import (ConductanceMatrix, NonIdealSpec, output_currents_ideal,
                        output_currents_nonideal, voltage_excitation)
 from .montecarlo import MismatchSpec, run_rng, sample_params
 # transfer_curve is unused here; the benchmark tracer patches it by this name
-from .neuron import RgcParams, SolverError, solve_dc, transfer_curve  # noqa: F401
+from .neuron import (RgcParams, SolverError, check_input_current,  # noqa: F401
+                     solve_dc, transfer_curve)
 from .sar import Direction, sar_calibrate
 
 
@@ -141,8 +143,8 @@ _STREAMS_PER_LAYER = 4096  # layer li, neuron j draws stream li * 4096 + j
 class CircuitContext:
     """Shared circuit-level settings for crossbar-backed inference. With a
     mismatch spec the context is one chip: each neuron is a seeded mismatched
-    instance, sampled and SAR-trimmed to vref_in once, on first use, and
-    reused for every input; bits are read directly, with no transfer-curve fit."""
+    instance, sampled and SAR-trimmed to vref_in once, on first use, and its
+    calibration failures are reported on every input. Bits are i_diff >= 0."""
 
     neuron: RgcParams
     v_read: float = 0.1           # volts per unit input
@@ -150,28 +152,22 @@ class CircuitContext:
     mismatch: MismatchSpec | None = None
     mismatch_seed: int = 0
     vref_in: float = 0.65
-    _trims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cal_failures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _trimmed(ctx: CircuitContext, li: int, j: int) -> tuple:
-    """(params, SAR code, quiescent v_out, calibration failure reasons,
-    quiescent failure reason) of layer li's neuron j; none depends on the
-    input. A failed SAR keeps code 0; a failed quiescent solve gives None."""
-    if (li, j) not in ctx._trims:
+def _calibration_failures(ctx: CircuitContext, li: int, j: int) -> tuple:
+    """Reasons the SAR trim of layer li's neuron j failed (empty if it did
+    not); the neuron is sampled and trimmed on first use only."""
+    if (li, j) not in ctx._cal_failures:
         pj = sample_params(ctx.neuron, ctx.mismatch,
                            run_rng(ctx.mismatch_seed, li * _STREAMS_PER_LAYER + j))
-        code, v_q, cal_failures, q_failure = 0, None, (), None
         try:
-            code = sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in, ctx.vref_in,
-                                 pj.dac.nbits, Direction.INCREASING).code
+            sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in, ctx.vref_in,
+                          pj.dac.nbits, Direction.INCREASING)
+            ctx._cal_failures[li, j] = ()
         except SolverError as e:
-            cal_failures = (str(e),)
-        try:
-            v_q = solve_dc(pj, 0.0, code).v_out
-        except SolverError as e:
-            q_failure = str(e)
-        ctx._trims[li, j] = (pj, code, v_q, cal_failures, q_failure)
-    return ctx._trims[li, j]
+            ctx._cal_failures[li, j] = (str(e),)
+    return ctx._cal_failures[li, j]
 
 
 def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
@@ -200,22 +196,17 @@ def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
         i_diff = i_plus - i_minus
         pre = i_diff / (layer.scale * ctx.v_read)
 
-        # v_out rises with i_in, so the comparator against the neuron's own
-        # quiescent v_out reads sign(i_diff); a failed solve keeps that bit
+        # Newton leaves v_out within 3*r_load*KCL_TOL of the closed form, so a solved
+        # comparison v_out(i_diff) >= v_out(0) differs from this only at |i_diff| <= 6 pA
         b = i_diff >= 0.0
         if nonideal and ctx.mismatch is not None:
             for j in range(layer.n_out):
-                pj, code, v_q, cal_failures, q_failure = _trimmed(ctx, li, j)
-                failures += [(li, j, reason) for reason in cal_failures]
+                failures += [(li, j, r) for r in _calibration_failures(ctx, li, j)]
+                # sample_params never perturbs ib, so the nominal neuron decides
                 try:
-                    v_j = solve_dc(pj, float(i_diff[j]), code).v_out
+                    check_input_current(ctx.neuron, float(i_diff[j]))
                 except SolverError as e:
                     failures.append((li, j, str(e)))
-                    continue
-                if q_failure is not None:
-                    failures.append((li, j, q_failure))
-                else:
-                    b[j] = v_j >= v_q
         pres.append(pre)
         bits.append(b)
         v = b.astype(float) if layer.activation is Activation.THRESHOLD else pre

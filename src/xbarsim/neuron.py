@@ -188,6 +188,13 @@ def _newton(residual_jac, v0: np.ndarray) -> tuple[np.ndarray, int, float]:
     raise SolverError(f"Newton did not converge: last residual {norm:.3e} A", residual=norm)
 
 
+def check_input_current(p: RgcParams, i_in: float) -> None:
+    """Raise SolverError if i_in leaves M1, which carries ib - i_in, no current."""
+    if p.ib - i_in <= 0.0:
+        raise SolverError(f"input current {i_in} exceeds main bias {p.ib}: M1 forced "
+                          "into cutoff (infeasible bias)")
+
+
 def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
              out_code: int = 0) -> OperatingPoint:
     """Solve the neuron's DC operating point by damped Newton iteration.
@@ -201,10 +208,7 @@ def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
     i_fb = p.ib2 + i_dac
     if i_fb <= 0.0:
         raise SolverError("feedback branch current must be > 0")
-    if p.ib - i_in <= 0.0:
-        raise SolverError(
-            f"input current {i_in} exceeds main bias {p.ib}: M1 forced into cutoff "
-            "(infeasible bias)")
+    check_input_current(p, i_in)
     g_b2 = 0.0 if math.isinf(p.ro_b2) else 1.0 / p.ro_b2
     g_l = 1.0 / p.r_load
 

@@ -2,12 +2,19 @@
 
 These deliberately share no assembly code with the package: the nodal
 oracle enumerates every physical node explicitly and stamps a dense
-conductance matrix, with driver rows eliminated by substitution.
+conductance matrix, with driver rows eliminated by substitution. The one
+exception is ``solved_readout``: it solves each comparator decision with the
+package's own neuron solver and SAR, which network inference replaces with
+the KCL closed form, so the two can be compared.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from xbarsim.montecarlo import run_rng, sample_params
+from xbarsim.neuron import SolverError, solve_dc
+from xbarsim.sar import Direction, sar_calibrate
 
 
 def nodal_oracle_currents(g, v_in, r_wire_row, r_wire_col, r_neuron):
@@ -108,3 +115,36 @@ def two_pass_std(samples, ddof=1):
     mean = sum(samples) / n
     var = sum((s - mean) ** 2 for s in samples) / (n - ddof)
     return var ** 0.5
+
+
+def solved_readout(nominal, mismatch, mismatch_seed, vref_in, li, i_diff,
+                   solve=solve_dc):
+    """Comparator bits of mismatched layer li, each solved as
+    v_out(i_diff[j]) >= v_out(0).
+
+    Neuron j is sampled on stream li * 4096 + j and SAR-trimmed to vref_in
+    (code 0 if the SAR fails); both points are solved at that code. A neuron
+    whose readout or quiescent solve fails keeps the sign bit. Returns the
+    bits and the failures as (neuron, stage, reason), stage being
+    "calibration", "readout" or "quiescent", calibration first per neuron.
+    """
+    bits = np.asarray(i_diff) >= 0.0
+    failures = []
+    for j, i in enumerate(i_diff):
+        p = sample_params(nominal, mismatch, run_rng(mismatch_seed, li * 4096 + j))
+        code = 0
+        try:
+            code = sar_calibrate(lambda c: solve(p, 0.0, c).v_in, vref_in,
+                                 p.dac.nbits, Direction.INCREASING).code
+        except SolverError as e:
+            failures.append((j, "calibration", str(e)))
+        try:
+            v = solve(p, float(i), code).v_out
+        except SolverError as e:
+            failures.append((j, "readout", str(e)))
+            continue
+        try:
+            bits[j] = v >= solve(p, 0.0, code).v_out
+        except SolverError as e:
+            failures.append((j, "quiescent", str(e)))
+    return bits, failures

@@ -75,6 +75,10 @@ class TestConfigValidation:
             parse_config('{"output": {"format": "xml"}}')
         with pytest.raises(ConfigError, match="nbits"):
             parse_config('{"neuron": {"dac": {"nbits": 0}}}')
+        # the SAR trims the input DAC, so it cannot have more bits than it
+        with pytest.raises(ConfigError, match=r"^sar\.nbits: must be in \[1, neuron\.dac"):
+            parse_config('{"sar": {"nbits": 8}}')
+        parse_config('{"sar": {"nbits": 8}, "neuron": {"dac": {"nbits": 8}}}')
 
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="integer"):

@@ -4,20 +4,22 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xbarsim import network
 from xbarsim.config import parse_config
-from xbarsim.crossbar import NonIdealSpec
+from xbarsim.crossbar import (NonIdealSpec, output_currents_ideal,
+                              output_currents_nonideal, voltage_excitation)
 from xbarsim.experiments import ExperimentKind, run_experiment
 from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
 from xbarsim.network import (Activation, CircuitContext, Fidelity, LayerSpec,
                              crossbar_energy_ideal, dequantize,
                              digital_baseline, energy_estimate, infer,
                              map_weights)
-from xbarsim.neuron import SolverError, reference_params, solve_dc
-from xbarsim.sar import sar_calibrate
+from xbarsim.neuron import KCL_TOL, SolverError, reference_params, solve_dc
+
+from oracles import solved_readout
 
 G_MIN, G_MAX = 1e-7, 1e-5
 
@@ -189,7 +191,7 @@ class TestInference:
 
 class TestCalibrateOnce:
     """A mismatched CircuitContext samples and SAR-trims each neuron once and
-    reuses that trim for every input."""
+    reports its calibration failures on every input."""
 
     @staticmethod
     def _ctx(mismatch_seed, nonideal=NonIdealSpec(1.0, 1.0, 100.0)):
@@ -249,19 +251,15 @@ class TestCalibrateOnce:
                 assert got.failures == ref.failures
 
     @pytest.mark.parametrize("fail_when, expected", [
-        (lambda i_in: True, ["zero-input failure at code 32", "readout failure at code 0"]),
-        (lambda i_in: i_in == 0.0, ["zero-input failure at code 32",
-                                    "zero-input failure at code 0"]),
-        (lambda i_in: i_in != 0.0, ["readout failure at code {code}"]),
+        (lambda i_in: True, ["zero-input failure at code 32"]),
+        (lambda i_in: i_in == 0.0, ["zero-input failure at code 32"]),
+        (lambda i_in: i_in != 0.0, []),
     ])
     def test_failures_listed_on_every_input_in_order(self, monkeypatch, fail_when, expected):
-        # what recalibrating on every input listed: a failed SAR (its first
-        # trial is the MSB, code 32) and then either the failed readout or,
-        # if only the quiescent solve at the kept code failed, that one
+        # a failed SAR (its first trial is the MSB, code 32) is listed on
+        # every input; no neuron is solved per input, so nothing else fails
         layers = [mapped([[1.0, -0.5], [-0.75, 0.25]])]
         failing = sample_params(reference_params(), MismatchSpec(), run_rng(3, 1))
-        trim_code = sar_calibrate(lambda c: solve_dc(failing, 0.0, c).v_in, 0.65,
-                                  failing.dac.nbits).code
 
         def solve_dc_failing(p, i_in=0.0, code=0):
             if p == failing and fail_when(i_in):
@@ -273,19 +271,21 @@ class TestCalibrateOnce:
         ctx = self._ctx(3)
         for x in ([1.0, 0.5], [-1.0, 0.5], [1.0, 0.5]):
             got = infer(layers, np.array(x), Fidelity.CIRCUIT_NONIDEAL, ctx)
-            assert got.failures == [(0, 1, r.format(code=trim_code)) for r in expected]
+            assert got.failures == [(0, 1, r) for r in expected]
             assert got.bits[0][1] == (got.pre_activations[0][1] >= 0.0)
 
-    def test_second_input_solves_each_neuron_once(self, monkeypatch):
+    def test_second_input_solves_no_neuron(self, monkeypatch):
         rng = np.random.default_rng(7)
         layers = [mapped(rng.uniform(-1, 1, (4, 6))), mapped(rng.uniform(-1, 1, (3, 4)))]
         calls = self._count_calls(monkeypatch, "solve_dc", "sar_calibrate", "sample_params")
         ctx = self._ctx(11)
         infer(layers, rng.uniform(-1, 1, 6), Fidelity.CIRCUIT_NONIDEAL, ctx)
-        assert calls["sar_calibrate"] == calls["sample_params"] == 4 + 3
+        # one solve per SAR comparison, none for the readout
+        assert calls == {"sar_calibrate": 4 + 3, "sample_params": 4 + 3,
+                         "solve_dc": (4 + 3) * 6}
         calls.clear()
         infer(layers, rng.uniform(-1, 1, 6), Fidelity.CIRCUIT_NONIDEAL, ctx)
-        assert calls == {"solve_dc": 4 + 3}
+        assert not calls
 
     def test_context_is_frozen(self):
         ctx = self._ctx(0)
@@ -302,6 +302,75 @@ class TestCalibrateOnce:
         assert not calls
         # CIRCUIT_IDEAL draws no mismatch stream, so the width is fine
         assert len(infer(layers, np.ones(1), Fidelity.CIRCUIT_IDEAL, ctx).bits[1]) == 4097
+
+
+class TestComparatorReadout:
+    """Circuit-tier bits are i_diff >= 0 in place of the solved comparator
+    readout that oracles.solved_readout keeps as the reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1), mismatch_seed=st.integers(0, 2**32 - 1),
+           widths=st.tuples(st.integers(1, 24), st.integers(1, 6), st.integers(1, 4)),
+           n_inputs=st.integers(1, 3),
+           v_read=st.floats(0.01, 0.2), sigma_scale=st.floats(0.0, 3.0),
+           wires=st.booleans(), failing_neuron=st.tuples(st.integers(0, 1),
+                                                         st.integers(0, 5)))
+    # over-biased neurons on both sides, the failing one among them
+    @example(net_seed=0, mismatch_seed=1, widths=(24, 4, 2), n_inputs=3, v_read=0.2,
+             sigma_scale=1.0, wires=True, failing_neuron=(0, 1))
+    def test_bits_and_failures_match_solved_readout(
+            self, net_seed, mismatch_seed, widths, n_inputs, v_read, sigma_scale,
+            wires, failing_neuron):
+        # rows leaning to one sign, up to 24 inputs and v_read up to 0.2 V
+        # drive i_diff past both -ib and +ib
+        rng = np.random.default_rng(net_seed)
+        layers = [mapped(rng.uniform(-1, 1, (n_out, n_in))
+                         + rng.uniform(-1, 1, (n_out, 1)))
+                  for n_in, n_out in zip(widths, widths[1:])]
+        spec = MismatchSpec(10e-3 * sigma_scale, 0.02 * sigma_scale)
+        ctx = CircuitContext(neuron=reference_params(), v_read=v_read,
+                             nonideal=NonIdealSpec(1.0, 1.0, 100.0) if wires else None,
+                             mismatch=spec, mismatch_seed=mismatch_seed)
+        # the zero-input solves of one neuron fail, so its SAR fails
+        li_fail, j_fail = failing_neuron
+        failing = sample_params(reference_params(), spec,
+                                run_rng(mismatch_seed, li_fail * 4096 + j_fail))
+
+        def solve_dc_failing(p, i_in=0.0, code=0):
+            if p == failing and i_in == 0.0:
+                raise SolverError(f"forced failure at code {code}")
+            return solve_dc(p, i_in, code)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "solve_dc", solve_dc_failing)
+            for x in rng.uniform(0, 1, (n_inputs, widths[0])):
+                got = infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, ctx)
+                v = x
+                for li, layer in enumerate(layers):
+                    i_diff = self._i_diff(layer, v, ctx)
+                    assert np.array_equal(got.pre_activations[li],
+                                          i_diff / (layer.scale * v_read))
+                    bits, failures = solved_readout(ctx.neuron, spec, mismatch_seed,
+                                                    ctx.vref_in, li, i_diff,
+                                                    solve_dc_failing)
+                    decided = np.abs(i_diff) > 6 * KCL_TOL  # 6 pA
+                    assert np.array_equal(got.bits[li][decided], bits[decided])
+                    # readout Newton stalls and quiescent repeats are not listed
+                    kept = [(li, j, reason) for j, stage, reason in failures
+                            if stage == "calibration" or "exceeds main bias" in reason]
+                    assert [f for f in got.failures if f[0] == li] == kept
+                    v = got.bits[li].astype(float)
+
+    @staticmethod
+    def _i_diff(layer, v, ctx):
+        """A layer's differential column currents, computed as infer does."""
+        exc = voltage_excitation(v * ctx.v_read)
+        if ctx.nonideal is None:
+            return (output_currents_ideal(layer.g_plus, exc)
+                    - output_currents_ideal(layer.g_minus, exc))
+        plus, minus = (output_currents_nonideal(g, exc, ctx.nonideal).neuron_currents
+                       for g in (layer.g_plus, layer.g_minus))
+        return plus - minus
 
 
 class TestEnergy:

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from xbarsim.devices import MosEval, MosParams, Region
 from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
-from xbarsim.neuron import (DacSpec, OperatingPoint, RgcParams, SolverError,
-                            dac_current, gain_numeric, gm_tuned,
+from xbarsim.neuron import (KCL_TOL, DacSpec, OperatingPoint, RgcParams,
+                            SolverError, dac_current, gain_numeric, gm_tuned,
                             reference_params, rout_numeric, small_signal,
                             solve_dc, transfer_curve, zin_numeric)
 from xbarsim.sar import Direction, sar_calibrate
@@ -75,6 +75,26 @@ class TestDcClosedForm:
         for code in [0, 10, 40]:
             op = solve_dc(reference_params(), 0.5e-6, code)
             assert op.residual <= 1e-12
+
+    # network inference reads each comparator as i_diff >= 0 on this identity:
+    # KCL at X, Y and O fixes v_out whatever the mismatched device parameters
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma_scale=st.floats(0.0, 3.0),
+           code=st.integers(0, 63), out_code=st.integers(0, 63),
+           frac=st.floats(0.0, 1.0, exclude_max=True))
+    def test_v_out_closed_form_under_mismatch(self, seed, sigma_scale, code, out_code,
+                                              frac):
+        p = sample_params(reference_params(),
+                          MismatchSpec(10e-3 * sigma_scale, 0.02 * sigma_scale),
+                          run_rng(seed, 0))
+        i_in = -4e-6 + frac * (0.98 * p.ib + 4e-6)  # in [-4 uA, 0.98 ib)
+        try:
+            op = solve_dc(p, i_in, code, out_code)
+        except SolverError:
+            reject()
+        closed = p.vdd - p.r_load * (p.ib - i_in - out_code * p.dac_out.i_unit)
+        # each of the three residuals is within KCL_TOL at Newton's exit
+        assert abs(op.v_out - closed) <= 3 * p.r_load * KCL_TOL
 
     def test_bisection_oracle_lambda2(self):
         # only M2 has channel-length modulation; the gate node then tracks
