@@ -13,9 +13,9 @@ from .neuron import (DacSpec, OperatingPoint, RgcParams, SmallSignalReport,
                      SolverError, dac_current, gain_numeric, gm_tuned,
                      reference_params, rout_numeric, small_signal, solve_dc,
                      transfer_curve, zin_numeric)
-from .sar import (CalibrationSchedule, Direction, SarResult, SarState,
-                  calibrate_array, calibration_latency, sar_calibrate,
-                  sar_normalized_converge, sar_normalized_step)
+from .sar import (CalibrationSchedule, Direction, SarResult, calibrate_array,
+                  calibration_latency, sar_calibrate, sar_normalized_converge,
+                  sar_normalized_step)
 from .montecarlo import (McResult, MismatchSpec, compare_stats, run_mc,
                          run_rng, sample_params)
 from .network import (Activation, CircuitContext, EnergyReport, Fidelity,

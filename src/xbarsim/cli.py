@@ -31,7 +31,7 @@ def _global_flags(suppress_defaults: bool) -> argparse.ArgumentParser:
                        "with engineering-suffix literals); defaults to the reference preset")
     flags.add_argument("--seed", type=int, metavar="U64", help="override the top-level seed")
     flags.add_argument("--out", metavar="PATH", help="write the report here (default stdout)")
-    flags.add_argument("--format", choices=["json", "csv", "text"],
+    flags.add_argument("--format", choices=[f.value for f in ReportFormat],
                        help="report format (default: config output.format)")
     flags.add_argument("--runs", type=int, metavar="N", help="override mc.runs")
     flags.add_argument("--verbose", action="store_true",

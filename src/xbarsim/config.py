@@ -15,7 +15,9 @@ from pathlib import Path
 
 from .devices import MosParams
 from .montecarlo import MismatchSpec
+from .network import Activation, Fidelity
 from .neuron import DacSpec, RgcParams
+from .reports import ReportFormat
 
 ENG_SUFFIXES = {
     "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3,
@@ -60,9 +62,21 @@ def _dac():
     return {"i_unit": ("eng", 0.125e-6), "nbits": ("int", 6)}
 
 
+def _choice(default: str, allowed) -> tuple:
+    """A string leaf restricted to the given values (an Enum class or strings)."""
+    return ("choice", default, tuple(getattr(a, "value", a) for a in allowed))
+
+
+# one entry of network.layers; it needs 'csv' or 'values'
+_LAYER = {
+    "csv": ("path_or_null", None),
+    "values": ("matrix_or_null", None),
+    "activation": _choice("threshold", Activation),
+}
+
 # the reference preset: every key the frontend understands, with its default
 _SCHEMA = {
-    "preset": ("str", "reference"),
+    "preset": _choice("reference", ("reference",)),
     "neuron": {
         "m1": _device(1e-3, 0.3, 0.05),
         "m2": _device(200e-6, 0.4, 0.05),
@@ -106,7 +120,7 @@ _SCHEMA = {
     "network": {
         "bits": ("int", 8),
         "v_read": ("eng", 0.1),
-        "fidelity": ("str", "circuit_ideal"),
+        "fidelity": _choice("circuit_ideal", Fidelity),
         "g_min": ("eng", 1e-7),
         "g_max": ("eng", 1e-5),
         "layers": ("layers_or_null", None),
@@ -124,7 +138,7 @@ _SCHEMA = {
     },
     "output": {
         "path": ("path_out_or_null", None),
-        "format": ("str", "json"),
+        "format": _choice("json", ReportFormat),
     },
 }
 
@@ -173,7 +187,7 @@ def _suggest(key: str, candidates) -> str:
 
 def _validate(node, schema, path: str, prov: dict, base_dir: Path):
     if not isinstance(node, dict):
-        raise ConfigError(f"{path or '<root>'}: expected an object")
+        raise ConfigError(f"{path.rstrip('.') or '<root>'}: expected an object")
     out = {}
     for key in node:
         if key not in schema:
@@ -185,11 +199,11 @@ def _validate(node, schema, path: str, prov: dict, base_dir: Path):
             sub = node.get(key, {})
             out[key] = _validate(sub, spec, dotted + ".", prov, base_dir)
             continue
-        kind, default = spec
+        kind, default = spec[:2]
         prov[dotted] = "explicit" if present else "default"
         value = node[key] if present else default
-        if not present:
-            out[key] = default
+        if not present or (value is None and kind.endswith("_or_null")):
+            out[key] = value
             continue
         if kind == "eng":
             out[key] = parse_engineering(value, dotted)
@@ -201,57 +215,34 @@ def _validate(node, schema, path: str, prov: dict, base_dir: Path):
             if not isinstance(value, bool):
                 raise ConfigError(f"{dotted}: expected a boolean, got {value!r}")
             out[key] = value
-        elif kind == "str":
-            if not isinstance(value, str):
-                raise ConfigError(f"{dotted}: expected a string, got {value!r}")
+        elif kind == "choice":
+            allowed = spec[2]
+            if not isinstance(value, str) or value not in allowed:
+                raise ConfigError(
+                    f"{dotted}: must be one of {', '.join(allowed)}, got {value!r}")
             out[key] = value
         elif kind in ("path_or_null", "path_out_or_null"):
-            if value is not None and not isinstance(value, str):
+            if not isinstance(value, str):
                 raise ConfigError(f"{dotted}: expected a path string or null")
-            if value is not None and kind == "path_or_null":
-                p = (base_dir / value)
-                if not p.exists():
-                    raise ConfigError(f"{dotted}: referenced file {str(p)!r} does not exist")
+            if kind == "path_or_null" and not (base_dir / value).exists():
+                raise ConfigError(
+                    f"{dotted}: referenced file {str(base_dir / value)!r} does not exist")
             out[key] = value
         elif kind == "matrix_or_null":
-            if value is not None:
-                if (not isinstance(value, list) or not value
-                        or not all(isinstance(r, list) for r in value)):
-                    raise ConfigError(f"{dotted}: expected a list of rows")
-                out[key] = [[parse_engineering(v, dotted) for v in row] for row in value]
-            else:
-                out[key] = None
+            if (not isinstance(value, list) or not value
+                    or not all(isinstance(r, list) and r for r in value)
+                    or len({len(r) for r in value}) != 1):
+                raise ConfigError(f"{dotted}: expected a list of equal-length, non-empty rows")
+            out[key] = [[parse_engineering(v, dotted) for v in row] for row in value]
         elif kind == "layers_or_null":
-            if value is not None:
-                if not isinstance(value, list):
-                    raise ConfigError(f"{dotted}: expected a list of layer objects")
-                layers = []
-                for i, lay in enumerate(value):
-                    if not isinstance(lay, dict):
-                        raise ConfigError(f"{dotted}[{i}]: expected an object")
-                    allowed = {"csv", "values", "activation"}
-                    for k in lay:
-                        if k not in allowed:
-                            raise ConfigError(
-                                f"unknown key {dotted}[{i}].{k}{_suggest(k, allowed)}")
-                    entry = {"csv": lay.get("csv"),
-                             "values": lay.get("values"),
-                             "activation": lay.get("activation", "threshold")}
-                    if entry["csv"] is None and entry["values"] is None:
-                        raise ConfigError(f"{dotted}[{i}]: needs 'csv' or 'values'")
-                    if entry["csv"] is not None and not (base_dir / entry["csv"]).exists():
-                        raise ConfigError(
-                            f"{dotted}[{i}].csv: file {entry['csv']!r} does not exist")
-                    if entry["values"] is not None:
-                        entry["values"] = [[parse_engineering(v, f"{dotted}[{i}].values")
-                                            for v in row] for row in entry["values"]]
-                    if entry["activation"] not in ("linear", "threshold"):
-                        raise ConfigError(
-                            f"{dotted}[{i}].activation: must be 'linear' or 'threshold'")
-                    layers.append(entry)
-                out[key] = layers
-            else:
-                out[key] = None
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{dotted}: expected a non-empty list of layer objects")
+            out[key] = []
+            for i, layer in enumerate(value):
+                entry = _validate(layer, _LAYER, f"{dotted}[{i}].", prov, base_dir)
+                if entry["csv"] is None and entry["values"] is None:
+                    raise ConfigError(f"{dotted}[{i}]: needs 'csv' or 'values'")
+                out[key].append(entry)
         else:  # pragma: no cover
             raise AssertionError(f"bad schema kind {kind}")
     return out
@@ -281,12 +272,10 @@ def _check_invariants(data: dict):
     m = data["mismatch"]
     require(m["sigma_vt"] >= 0 and m["sigma_beta_rel"] >= 0,
             "mismatch.sigma_vt", "sigmas must be >= 0")
-    require(data["network"]["bits"] >= 1, "network.bits", "must be >= 1")
-    require(data["output"]["format"] in ("json", "csv", "text"),
-            "output.format", "must be one of json, csv, text")
-    require(data["network"]["fidelity"] in ("ideal_math", "circuit_ideal",
-                                            "circuit_nonideal"),
-            "network.fidelity", "must be ideal_math, circuit_ideal or circuit_nonideal")
+    net = data["network"]
+    require(net["bits"] >= 1, "network.bits", "must be >= 1")
+    require(net["n_inputs"] >= 1, "network.n_inputs", "must be >= 1")
+    require(net["v_read"] > 0, "network.v_read", "must be > 0")
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> SimConfig:
@@ -302,8 +291,6 @@ def parse_config(text: str, base_dir: str | Path = ".") -> SimConfig:
         raise ConfigError(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}") from e
     prov: dict = {}
     data = _validate(raw, _SCHEMA, "", prov, base_dir)
-    if data["preset"] != "reference":
-        raise ConfigError(f"preset: unknown preset {data['preset']!r}")
     _check_invariants(data)
     return SimConfig(data=data, provenance=prov, base_dir=base_dir)
 

@@ -61,8 +61,6 @@ class McResult:
     nbits: int
     v_in_pre: np.ndarray
     v_in_post: np.ndarray
-    v_out_pre: np.ndarray
-    v_out_post: np.ndarray
     codes: np.ndarray
     run_index: np.ndarray  # the run r of each successful sample
     mean_pre: float
@@ -103,7 +101,7 @@ def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     n = nbits if nbits is not None else nominal.dac.nbits
 
-    pre, post, vout_pre, vout_post, codes, runs = [], [], [], [], [], []
+    pre, post, codes, runs = [], [], [], []
     excluded = 0
     out_of_range = 0
     failures = []
@@ -127,8 +125,6 @@ def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
             continue
         pre.append(op0.v_in)
         post.append(opc.v_in)
-        vout_pre.append(op0.v_out)
-        vout_post.append(opc.v_out)
         codes.append(code)
         runs.append(r)
 
@@ -139,7 +135,6 @@ def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
     return McResult(
         n_runs=n_runs, seed=seed, calibrated=calibrate, vref=vref, nbits=n,
         v_in_pre=pre, v_in_post=post,
-        v_out_pre=np.array(vout_pre), v_out_post=np.array(vout_post),
         codes=np.array(codes, dtype=int), run_index=np.array(runs, dtype=int),
         mean_pre=float(np.mean(pre)), std_pre=float(np.std(pre, ddof=1)),
         mean_post=float(np.mean(post)), std_post=float(np.std(post, ddof=1)),

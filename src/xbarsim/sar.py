@@ -49,43 +49,6 @@ class Direction(Enum):
     DECREASING = "decreasing"
 
 
-class Phase(Enum):
-    IDLE = "idle"
-    CONVERGING = "converging"
-    DONE = "done"
-
-
-@dataclass
-class SarState:
-    """Bit register of the MSB-first search. bit_index counts trial bits from
-    the MSB (0) down; phase flips to DONE once the LSB has been decided."""
-
-    nbits: int
-    bit_index: int = 0
-    code: int = 0
-    phase: Phase = Phase.IDLE
-
-    def start(self) -> int:
-        """Arm the register and return the first (midscale) trial code."""
-        self.bit_index = 0
-        self.code = 0
-        self.phase = Phase.CONVERGING
-        return self.trial_code()
-
-    def trial_code(self) -> int:
-        return self.code | (1 << (self.nbits - 1 - self.bit_index))
-
-    def decide(self, keep: bool) -> None:
-        """Commit the comparator decision for the current trial bit."""
-        if self.phase is not Phase.CONVERGING:
-            raise RuntimeError("SAR register is not converging")
-        if keep:
-            self.code = self.trial_code()
-        self.bit_index += 1
-        if self.bit_index >= self.nbits:
-            self.phase = Phase.DONE
-
-
 @dataclass
 class SarResult:
     code: int
@@ -117,43 +80,33 @@ def sar_calibrate(plant: Callable[[int], float], vref: float, nbits: int,
     """
     if not math.isfinite(vref):
         raise ValueError("vref must be finite")
+    if nbits < 1:
+        raise ValueError(f"need nbits >= 1, got {nbits}")
+    # +1 or -1, so that sign * (v - vref) > 0 means v overshot vref
+    sign = 1.0 if direction is Direction.INCREASING else -1.0
     if check_monotone:
         vals = [plant(c) for c in range(1 << nbits)]
-        diffs = [b - a for a, b in zip(vals, vals[1:])]
-        ok = all(d > 0 for d in diffs) if direction is Direction.INCREASING \
-            else all(d < 0 for d in diffs)
-        if not ok:
+        if not all(sign * (b - a) > 0 for a, b in zip(vals, vals[1:])):
             raise NonMonotonePlantError(
                 f"plant is not strictly {direction.value} over codes 0..{(1 << nbits) - 1}")
 
     vref_eff = vref + comparator_offset
-    state = SarState(nbits=nbits)
-    state.start()
-    cache: dict[int, float] = {}
+    code = 0
     transcript = []
-    comparisons = 0
-    while state.phase is Phase.CONVERGING:
-        trial = state.trial_code()
+    for bit in range(nbits):
+        trial = code | (1 << (nbits - 1 - bit))
         v = plant(trial)
-        cache[trial] = v
-        comparisons += 1
-        if direction is Direction.INCREASING:
-            keep = not (v > vref_eff)
-        else:
-            keep = not (v < vref_eff)
-        transcript.append((state.bit_index, trial, v, keep))
-        state.decide(keep)
-
-    code = state.code
-    # the final code was probed during the search except when every bit was
-    # cleared; one extra (non-comparison) evaluation covers that case
-    value = cache[code] if code in cache else plant(code)
+        keep = not (sign * (v - vref_eff) > 0)
+        transcript.append((bit, trial, v, keep))
+        if keep:
+            code, value = trial, v
+    if code == 0:
+        # every bit was cleared, so code 0 itself was never probed
+        value = plant(0)
     full = (1 << nbits) - 1
-    if direction is Direction.INCREASING:
-        in_range = not (code == 0 and value > vref_eff) and not (code == full and value < vref_eff)
-    else:
-        in_range = not (code == 0 and value < vref_eff) and not (code == full and value > vref_eff)
-    return SarResult(code=code, value=value, comparisons=comparisons,
+    over = sign * (value - vref_eff)
+    in_range = not (code == 0 and over > 0) and not (code == full and over < 0)
+    return SarResult(code=code, value=value, comparisons=nbits,
                      in_range=in_range, transcript=transcript)
 
 
@@ -175,7 +128,6 @@ class CalibrationSchedule:
     neuron_ids: list[int]
     vref_in: float
     vref_out: float
-    active_index: int | None = None
     results: dict[int, NeuronCalibration] = field(default_factory=dict)
     comparator_evals: int = 0
 
@@ -197,8 +149,7 @@ def calibrate_array(neurons: Sequence[RgcParams], schedule: CalibrationSchedule,
     if len(by_id) != len(schedule.neuron_ids):
         raise ValueError("neuron_ids and neurons must pair one-to-one")
 
-    for pos, nid in enumerate(schedule.neuron_ids):
-        schedule.active_index = pos
+    for nid in schedule.neuron_ids:
         p = by_id[nid]
         n = nbits if nbits is not None else p.dac.nbits
         rec = NeuronCalibration(neuron_id=nid)
@@ -212,8 +163,7 @@ def calibrate_array(neurons: Sequence[RgcParams], schedule: CalibrationSchedule,
         schedule.results[nid] = rec
 
     if calibrate_output:
-        for pos, nid in enumerate(schedule.neuron_ids):
-            schedule.active_index = pos
+        for nid in schedule.neuron_ids:
             rec = schedule.results[nid]
             if rec.error is not None or rec.code_in is None:
                 continue
@@ -231,7 +181,6 @@ def calibrate_array(neurons: Sequence[RgcParams], schedule: CalibrationSchedule,
             except SolverError as e:
                 rec.error = str(e)
 
-    schedule.active_index = None
     return schedule
 
 

@@ -5,16 +5,22 @@ oracle enumerates every physical node explicitly and stamps a dense
 conductance matrix, with driver rows eliminated by substitution. The one
 exception is ``solved_readout``: it solves each comparator decision with the
 package's own neuron solver and SAR, which network inference replaces with
-the KCL closed form, so the two can be compared.
+the KCL closed form, so the two can be compared. ``reference_sar_calibrate``
+is the bit-register SAR search that ``sar.sar_calibrate`` replaced with a
+plain MSB-first loop, kept to check that the two agree call for call.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from xbarsim.montecarlo import run_rng, sample_params
 from xbarsim.neuron import SolverError, solve_dc
-from xbarsim.sar import Direction, sar_calibrate
+from xbarsim.sar import Direction, NonMonotonePlantError, SarResult, sar_calibrate
 
 
 def nodal_oracle_currents(g, v_in, r_wire_row, r_wire_col, r_neuron):
@@ -148,3 +154,83 @@ def solved_readout(nominal, mismatch, mismatch_seed, vref_in, li, i_diff,
         except SolverError as e:
             failures.append((j, "quiescent", str(e)))
     return bits, failures
+
+
+class _Phase(Enum):
+    IDLE = "idle"
+    CONVERGING = "converging"
+    DONE = "done"
+
+
+@dataclass
+class _SarRegister:
+    """Bit register of the MSB-first search. bit_index counts trial bits from
+    the MSB (0) down; phase flips to DONE once the LSB has been decided."""
+
+    nbits: int
+    bit_index: int = 0
+    code: int = 0
+    phase: _Phase = _Phase.IDLE
+
+    def start(self) -> int:
+        self.bit_index = 0
+        self.code = 0
+        self.phase = _Phase.CONVERGING
+        return self.trial_code()
+
+    def trial_code(self) -> int:
+        return self.code | (1 << (self.nbits - 1 - self.bit_index))
+
+    def decide(self, keep: bool) -> None:
+        if self.phase is not _Phase.CONVERGING:
+            raise RuntimeError("SAR register is not converging")
+        if keep:
+            self.code = self.trial_code()
+        self.bit_index += 1
+        if self.bit_index >= self.nbits:
+            self.phase = _Phase.DONE
+
+
+def reference_sar_calibrate(plant, vref, nbits, direction=Direction.INCREASING,
+                            comparator_offset=0.0, check_monotone=False):
+    """The register-driven SAR search: a state machine steps the trial bit,
+    a cache remembers each probed value, and each direction has its own
+    comparisons. Same contract as ``sar.sar_calibrate``."""
+    if not math.isfinite(vref):
+        raise ValueError("vref must be finite")
+    if check_monotone:
+        vals = [plant(c) for c in range(1 << nbits)]
+        diffs = [b - a for a, b in zip(vals, vals[1:])]
+        ok = all(d > 0 for d in diffs) if direction is Direction.INCREASING \
+            else all(d < 0 for d in diffs)
+        if not ok:
+            raise NonMonotonePlantError(
+                f"plant is not strictly {direction.value} over codes 0..{(1 << nbits) - 1}")
+
+    vref_eff = vref + comparator_offset
+    state = _SarRegister(nbits=nbits)
+    state.start()
+    cache = {}
+    transcript = []
+    comparisons = 0
+    while state.phase is _Phase.CONVERGING:
+        trial = state.trial_code()
+        v = plant(trial)
+        cache[trial] = v
+        comparisons += 1
+        if direction is Direction.INCREASING:
+            keep = not (v > vref_eff)
+        else:
+            keep = not (v < vref_eff)
+        transcript.append((state.bit_index, trial, v, keep))
+        state.decide(keep)
+
+    code = state.code
+    value = cache[code] if code in cache else plant(code)
+    full = (1 << nbits) - 1
+    if direction is Direction.INCREASING:
+        in_range = not (code == 0 and value > vref_eff) and not (code == full and value < vref_eff)
+    else:
+        in_range = not (code == 0 and value < vref_eff) and not (code == full and value > vref_eff)
+    return SarResult(code=code, value=value, comparisons=comparisons,
+                     in_range=in_range, transcript=transcript)

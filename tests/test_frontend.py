@@ -8,6 +8,7 @@ from xbarsim.cli import main
 from xbarsim.config import (ConfigError, load_config, parse_config,
                             parse_engineering)
 from xbarsim.experiments import ExperimentKind, run_experiment
+from xbarsim.network import Activation, Fidelity
 from xbarsim.reports import (ReportFormat, UnsupportedFormatError,
                              canonical_json, config_digest, emit_report)
 
@@ -98,6 +99,77 @@ class TestConfigValidation:
         c = parse_config('{"neuron": {"ib": "6u"}}')
         assert config_digest(a.data) == config_digest(b.data)
         assert config_digest(a.data) != config_digest(c.data)
+
+
+# malformed documents, each with the key its ConfigError must name
+MALFORMED = [
+    ({"network": {"layers": [{"values": 5}]}}, "network.layers[0].values"),
+    ({"network": {"layers": [{"values": [[1.0], 2.0]}]}}, "network.layers[0].values"),
+    ({"network": {"layers": [{"csv": 5}]}}, "network.layers[0].csv"),
+    ({"network": {"layers": [{"csv": "no_such.csv"}]}}, "network.layers[0].csv"),
+    ({"network": {"layers": [{}]}}, "network.layers[0]: needs 'csv' or 'values'"),
+    ({"network": {"layers": [5]}}, "network.layers[0]: expected an object"),
+    ({"network": {"layers": [{"values": [[1.0]], "bias": 1}]}}, "network.layers[0].bias"),
+    ({"network": {"layers": [{"values": [[1.0]], "activation": "relu"}]}},
+     "network.layers[0].activation"),
+    ({"network": {"layers": []}}, "network.layers"),
+    ({"network": {"layers": {"values": [[1.0]]}}}, "network.layers"),
+    ({"crossbar": {"values": [["1m", "2m"], ["3m"]]}}, "crossbar.values"),
+    ({"crossbar": {"values": [[]]}}, "crossbar.values"),
+    ({"crossbar": {"values": []}}, "crossbar.values"),
+    ({"network": {"n_inputs": 0}}, "network.n_inputs"),
+    ({"network": {"v_read": 0}}, "network.v_read"),
+    ({"network": {"v_read": "-100m"}}, "network.v_read"),
+    ({"network": {"fidelity": "exact"}}, "network.fidelity"),
+    ({"output": {"format": 5}}, "output.format"),
+    ({"preset": "other"}, "preset"),
+]
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("doc,key", MALFORMED)
+    def test_config_error_names_key(self, doc, key):
+        with pytest.raises(ConfigError) as e:
+            parse_config(json.dumps(doc))
+        assert key in str(e.value)
+
+    @pytest.mark.parametrize("doc,key", MALFORMED)
+    def test_cli_exits_2(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), "infer"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
+    def test_choices_come_from_the_enums(self):
+        for fmt in ReportFormat:
+            assert parse_config(json.dumps({"output": {"format": fmt.value}}))
+        for fid in Fidelity:
+            assert parse_config(json.dumps({"network": {"fidelity": fid.value}}))
+        for act in Activation:
+            layer = {"values": [[1.0]], "activation": act.value}
+            assert parse_config(json.dumps({"network": {"layers": [layer]}}))
+        with pytest.raises(SystemExit):
+            main(["--format", "xml", "op"])
+
+    def test_layer_digest_unchanged(self, tmp_path):
+        # resolved layer entries keep their keys and values, so the digest
+        # of a valid layered config is the one recorded before the layer
+        # entries were validated through the schema walker
+        (tmp_path / "w.csv").write_text("1,2\n")
+        doc = {"network": {"layers": [{"values": [[1, "-0.5"], ["250m", 0.75]],
+                                       "activation": "linear"},
+                                      {"csv": "w.csv"}],
+                           "fidelity": "circuit_nonideal", "n_inputs": 3},
+               "output": {"format": "text"},
+               "crossbar": {"values": [["1m", "2m"]]}}
+        cfg = parse_config(json.dumps(doc), base_dir=tmp_path)
+        assert cfg["network"]["layers"][1] == {"csv": "w.csv", "values": None,
+                                               "activation": "threshold"}
+        assert config_digest(cfg.data) == \
+            "60b6ce2af3ba07c4b3477c3673ec9f3e02007b260bcd8537d4a715c6baf664d5"
+        assert config_digest(parse_config("{}").data) == \
+            "81fd1570f4b7a1ebe44e5957bf820d5a87c9bf366ce98aeed1fbbc7f3ee317aa"
 
 
 class TestCanonicalJson:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from xbarsim.neuron import RgcParams, reference_params, solve_dc
 from xbarsim.sar import (CalibrationSchedule, Direction, NonMonotonePlantError,
-                         SarResult, SarState, calibrate_array,
-                         calibration_latency, sar_calibrate,
-                         sar_normalized_converge, sar_normalized_step,
-                         sign_plus, transcript_csv)
+                         SarResult, calibrate_array, calibration_latency,
+                         sar_calibrate, sar_normalized_converge,
+                         sar_normalized_step, sign_plus, transcript_csv)
+
+from oracles import reference_sar_calibrate
 
 
 def exhaustive_best(plant, vref, nbits):
@@ -53,27 +54,6 @@ class TestNormalizedRecurrence:
             sar_normalized_converge(0.5, 0)
         with pytest.raises(ValueError):
             sar_normalized_step(0.0, 0.0, 0)
-
-
-class TestRegister:
-    def test_msb_first_sequence(self):
-        s = SarState(nbits=4)
-        assert s.start() == 0b1000
-        s.decide(keep=False)
-        assert s.trial_code() == 0b0100
-        s.decide(keep=True)
-        assert s.trial_code() == 0b0110
-        s.decide(keep=True)
-        assert s.trial_code() == 0b0111
-        s.decide(keep=False)
-        assert s.code == 0b0110
-
-    def test_decide_after_done_rejected(self):
-        s = SarState(nbits=1)
-        s.start()
-        s.decide(True)
-        with pytest.raises(RuntimeError):
-            s.decide(True)
 
 
 class TestCalibrate:
@@ -158,6 +138,68 @@ class TestCalibrate:
                 abs(float(vals[best]) - vref) + slack + 1e-12
 
 
+class TestMatchesRegisterReference:
+    """The MSB-first loop against the register-driven search it replaced."""
+
+    @staticmethod
+    def _plant(nbits, shape, decreasing, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 << nbits
+        if shape == "monotone":
+            vals = np.cumsum(rng.uniform(1e-3, 1.0, n))
+            vals = vals / vals[-1]
+        elif shape == "stepped":  # non-monotone, with many exact repeats
+            vals = np.round(rng.uniform(0.0, 1.0, n) * 8) / 8
+        elif shape == "plateau":  # monotone but not strictly
+            vals = np.sort(np.round(rng.uniform(0.0, 1.0, n) * 8) / 8)
+        else:  # non-monotone, with NaN and infinite outputs
+            vals = rng.uniform(0.0, 1.0, n)
+            vals[rng.integers(0, n, 3)] = [np.nan, np.inf, -np.inf]
+        return [float(v) for v in (-vals if decreasing else vals)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(nbits=st.integers(1, 10),
+           shape=st.sampled_from(["monotone", "plateau", "stepped", "special"]),
+           decreasing=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           vref=st.floats(-1.2, 1.2), offset=st.sampled_from([0.0, 1e-3, -0.25]),
+           tie=st.none() | st.integers(0, 1023), check_monotone=st.booleans())
+    def test_same_result_and_plant_calls(self, nbits, shape, decreasing, seed,
+                                         vref, offset, tie, check_monotone):
+        vals = self._plant(nbits, shape, decreasing, seed)
+        if tie is not None and tie < len(vals) and math.isfinite(vals[tie]):
+            vref, offset = vals[tie], 0.0  # the comparator sees an exact tie
+        direction = Direction.DECREASING if decreasing else Direction.INCREASING
+
+        def run(search):
+            calls = []
+
+            def plant(c):
+                calls.append(c)
+                return vals[c]
+
+            try:
+                res = search(plant, vref, nbits, direction, offset, check_monotone)
+            except NonMonotonePlantError as e:
+                return calls, str(e)
+            return calls, (res.code, repr(res.value), res.comparisons, res.in_range,
+                           [(b, t, repr(v), k) for b, t, v, k in res.transcript])
+
+        new_calls, new = run(sar_calibrate)
+        ref_calls, ref = run(reference_sar_calibrate)
+        assert new_calls == ref_calls
+        assert new == ref
+        if shape == "monotone" and isinstance(new, tuple):
+            target = vref + offset
+            sign = -1.0 if decreasing else 1.0
+            below = [c for c, v in enumerate(vals) if sign * v <= sign * target]
+            assert new[0] == max(below, default=0)
+            assert new[2] == nbits
+
+    def test_nbits_must_be_positive(self):
+        with pytest.raises(ValueError):
+            sar_calibrate(lambda c: c / 16.0, vref=0.3, nbits=0)
+
+
 class TestArrayCalibration:
     def _schedule(self, ids):
         return CalibrationSchedule(neuron_ids=list(ids), vref_in=0.65, vref_out=0.95)
@@ -177,7 +219,6 @@ class TestArrayCalibration:
         codes = {(r.code_in, r.code_out) for r in sched.results.values()}
         assert len(codes) == 1
         assert sched.completed()
-        assert sched.active_index is None
 
     def test_mismatched_array_vs_exhaustive(self):
         base = reference_params()
