@@ -3,7 +3,7 @@ with regulated-cascode current-mode neurons and SAR-calibrated DC points."""
 
 __version__ = "0.1.0"
 
-from .devices import (MemristorCell, MosEval, MosParams, Polarity, Region,
+from .devices import (MemristorCell, MosEval, MosParams, Region,
                       clamp_conductance, mos_eval)
 from .crossbar import (ConductanceMatrix, Excitation, ExcitationMode,
                        NonIdealSpec, SingularNetworkError, current_excitation,
@@ -13,7 +13,7 @@ from .neuron import (DacSpec, OperatingPoint, RgcParams, SmallSignalReport,
                      SolverError, dac_current, gain_numeric, gm_tuned,
                      reference_params, rout_numeric, small_signal, solve_dc,
                      transfer_curve, zin_numeric)
-from .sar import (CalibrationSchedule, Direction, SarResult, calibrate_array,
+from .sar import (NeuronCalibration, SarResult, calibrate_array,
                   calibration_latency, sar_calibrate, sar_normalized_converge,
                   sar_normalized_step)
 from .montecarlo import (McResult, MismatchSpec, compare_stats, run_mc,

@@ -1,8 +1,7 @@
 """Square-law MOSFET and memristor cell primitives.
 
-All quantities are SI. PMOS devices are evaluated with the standard sign
-flips so a single set of formulas covers both polarities; reported currents
-are magnitudes in that flipped convention.
+All quantities are SI. Every modelled transistor is NMOS, as in the
+regulated-cascode neuron, so no polarity is modelled.
 """
 
 from __future__ import annotations
@@ -10,11 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-
-
-class Polarity(Enum):
-    NMOS = "nmos"
-    PMOS = "pmos"
 
 
 class Region(Enum):
@@ -25,7 +19,7 @@ class Region(Enum):
 
 @dataclass(frozen=True)
 class MosParams:
-    """Square-law transistor parameters.
+    """Square-law NMOS parameters.
 
     beta is the full transconductance parameter (A/V^2), i.e. the drain
     current in saturation is (beta/2)*(vgs-vt)^2*(1+lam*vds).
@@ -34,7 +28,6 @@ class MosParams:
     beta: float
     vt: float
     lam: float = 0.0
-    polarity: Polarity = Polarity.NMOS
 
     def __post_init__(self):
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
@@ -67,16 +60,12 @@ class MosEval:
 def mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:
     """Evaluate drain current and its analytic partial derivatives.
 
-    vgs/vds are the physical terminal voltages; for PMOS they are flipped
-    internally. Requires vds >= 0 in the flipped convention. Subthreshold
-    conduction is zero. The (1+lam*vds) factor applies in saturation only,
-    so with lam > 0 there is a small documented discontinuity at the
-    triode/saturation boundary.
+    Requires vds >= 0. Subthreshold conduction is zero. The (1+lam*vds)
+    factor applies in saturation only, so with lam > 0 there is a small
+    documented discontinuity at the triode/saturation boundary.
     """
-    if p.polarity is Polarity.PMOS:
-        vgs, vds = -vgs, -vds
     if vds < 0.0:
-        raise ValueError(f"vds must be >= 0 in the flipped-sign convention, got {vds}")
+        raise ValueError(f"vds must be >= 0, got {vds}")
     vov = vgs - p.vt
     if vov <= 0.0:
         return MosEval(0.0, Region.CUTOFF, 0.0, 0.0)
@@ -94,12 +83,10 @@ def mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:
 def mos_current_signed(p: MosParams, vgs: float, vds: float) -> tuple[float, float, float]:
     """Drain current and partials (di/dvgs, di/dvds) valid for either vds sign.
 
-    NMOS convention only; used by nonlinear solvers whose Newton iterates may
-    transiently reverse a drain-source pair. Negative vds is handled by the
-    usual source/drain swap: i(vgs, vds) = -i(vgs - vds, -vds).
+    Used by nonlinear solvers whose Newton iterates may transiently reverse a
+    drain-source pair. Negative vds is handled by the usual source/drain
+    swap: i(vgs, vds) = -i(vgs - vds, -vds).
     """
-    if p.polarity is not Polarity.NMOS:
-        raise ValueError("signed evaluation is defined for NMOS devices only")
     if vds >= 0.0:
         e = mos_eval(p, vgs, vds)
         return e.current, e.gm, e.gds

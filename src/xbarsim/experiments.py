@@ -29,16 +29,33 @@ class ExperimentKind(Enum):
     ENERGY = "energy"
 
 
+def _load_csv(cfg: SimConfig, path: str, key: str) -> np.ndarray:
+    """A CSV of finite numbers as a 2-D array; a fault names the key."""
+    try:
+        m = np.loadtxt(Path(cfg.base_dir) / path, delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
+    if not np.all(np.isfinite(m)):
+        raise ConfigError(f"{key}: values must be finite")
+    return m
+
+
 def _load_layers(cfg: SimConfig) -> list[LayerSpec]:
     net = cfg["network"]
     if net["layers"] is None:
         raise ConfigError("network.layers: required for this experiment kind")
     layers = []
-    for entry in net["layers"]:
+    for i, entry in enumerate(net["layers"]):
+        key = f"network.layers[{i}]"
         if entry["values"] is not None:
             w = np.array(entry["values"], dtype=float)
+            if not np.all(np.isfinite(w)):
+                raise ConfigError(f"{key}.values: weights must be finite")
         else:
-            w = np.loadtxt(Path(cfg.base_dir) / entry["csv"], delimiter=",", ndmin=2)
+            w = _load_csv(cfg, entry["csv"], f"{key}.csv")
+        if layers and w.shape[1] != layers[-1].weights.shape[0]:
+            raise ConfigError(f"{key}: takes {w.shape[1]} inputs, but network.layers"
+                              f"[{i - 1}] has {layers[-1].weights.shape[0]} outputs")
         layers.append(LayerSpec(w, Activation(entry["activation"])))
     return layers
 
@@ -48,8 +65,11 @@ def _crossbar(cfg: SimConfig) -> ConductanceMatrix:
     if c["values"] is not None:
         g = np.array(c["values"], dtype=float)
     elif c["csv"] is not None:
-        return ConductanceMatrix.from_csv(Path(cfg.base_dir) / c["csv"],
-                                          g_min=c["g_min"], g_max=c["g_max"])
+        try:
+            return ConductanceMatrix.from_csv(Path(cfg.base_dir) / c["csv"],
+                                              g_min=c["g_min"], g_max=c["g_max"])
+        except ValueError as e:
+            raise ConfigError(f"crossbar.csv: {e}") from None
     else:
         raise ConfigError("crossbar.values: required (or crossbar.csv) for this kind")
     return ConductanceMatrix(g, g_min=c["g_min"], g_max=c["g_max"])
@@ -104,8 +124,11 @@ def run_experiment(cfg: SimConfig, kind: ExperimentKind,
         fidelity = Fidelity(net["fidelity"])
         rng = np.random.default_rng(seed)
         if net["inputs_csv"] is not None:
-            inputs = np.loadtxt(Path(cfg.base_dir) / net["inputs_csv"],
-                                delimiter=",", ndmin=2)
+            inputs = _load_csv(cfg, net["inputs_csv"], "network.inputs_csv")
+            if inputs.shape[1] != layers[0].weights.shape[1]:
+                raise ConfigError(f"network.inputs_csv: rows have {inputs.shape[1]} "
+                                  f"values, but network.layers[0] takes "
+                                  f"{layers[0].weights.shape[1]} inputs")
         else:
             inputs = rng.uniform(-1.0, 1.0, size=(net["n_inputs"],
                                                   layers[0].weights.shape[1]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .neuron import RgcParams, SolverError, solve_dc
-from .sar import Direction, sar_calibrate
+from .sar import sar_calibrate
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,7 @@ def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
         try:
             op0 = solve_dc(p, 0.0, 0)
             if calibrate:
-                res = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, vref, n,
-                                    Direction.INCREASING)
+                res = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, vref, n)
                 opc = solve_dc(p, 0.0, res.code)
                 if not res.in_range:
                     out_of_range += 1

@@ -7,8 +7,10 @@ columns per logical output, positive magnitudes on one side, negative on
 the other, unused side parked at g_min; the neuron subtracts the pair.
 The circuit tiers read each comparator as i_diff >= 0: by KCL a solved neuron
 has v_out = vdd - r_load*(ib - i_in - i_dac_out), free of device parameters,
-so no neuron is solved per input. Mismatched neurons are still sampled and
-SAR-trimmed once per CircuitContext, to report calibration failures.
+so no neuron is solved per input. Every circuit tier reports an input
+current at or above the main bias as a failure. Mismatched neurons are still
+sampled and SAR-trimmed once per CircuitContext, to report calibration
+failures. All three tiers run through one forward loop in infer.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .montecarlo import MismatchSpec, run_rng, sample_params
 # transfer_curve is unused here; the benchmark tracer patches it by this name
 from .neuron import (RgcParams, SolverError, check_input_current,  # noqa: F401
                      solve_dc, transfer_curve)
-from .sar import Direction, sar_calibrate
+from .sar import sar_calibrate
 
 
 class Activation(Enum):
@@ -123,19 +125,6 @@ class InferenceResult:
     failures: list = field(default_factory=list)
 
 
-def _ideal_math(layers: list[LayerSpec], x: np.ndarray) -> InferenceResult:
-    pres, bits = [], []
-    v = np.asarray(x, dtype=float)
-    for layer in layers:
-        pre = layer.weights @ v
-        b = pre >= 0.0
-        pres.append(pre)
-        bits.append(b)
-        v = b.astype(float) if layer.activation is Activation.THRESHOLD else pre
-    return InferenceResult(Fidelity.IDEAL_MATH, outputs=pres[-1], bits=bits,
-                           pre_activations=pres)
-
-
 _STREAMS_PER_LAYER = 4096  # layer li, neuron j draws stream li * 4096 + j
 
 
@@ -162,17 +151,31 @@ def _calibration_failures(ctx: CircuitContext, li: int, j: int) -> tuple:
         pj = sample_params(ctx.neuron, ctx.mismatch,
                            run_rng(ctx.mismatch_seed, li * _STREAMS_PER_LAYER + j))
         try:
-            sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in, ctx.vref_in,
-                          pj.dac.nbits, Direction.INCREASING)
+            sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in, ctx.vref_in, pj.dac.nbits)
             ctx._cal_failures[li, j] = ()
         except SolverError as e:
             ctx._cal_failures[li, j] = (str(e),)
     return ctx._cal_failures[li, j]
 
 
-def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
-             nonideal: bool) -> InferenceResult:
-    if nonideal and ctx.mismatch is not None:
+def infer(layers, x, fidelity: Fidelity,
+          ctx: CircuitContext | None = None) -> InferenceResult:
+    """Run one input through the network at the requested fidelity tier.
+
+    layers: LayerSpec or MappedLayer (dequantized) at IDEAL_MATH, MappedLayer
+    at the circuit tiers. Every circuit tier lists an input current at or above
+    the main bias as a failure; CIRCUIT_NONIDEAL with a mismatch spec also
+    lists calibration failures.
+    """
+    ideal = fidelity is Fidelity.IDEAL_MATH
+    nonideal = fidelity is Fidelity.CIRCUIT_NONIDEAL
+    if not ideal:
+        if ctx is None:
+            raise ValueError("circuit fidelities need a CircuitContext")
+        if any(isinstance(l, LayerSpec) for l in layers):
+            raise ValueError("circuit fidelities need MappedLayer inputs")
+    mismatched = nonideal and ctx.mismatch is not None
+    if mismatched:
         for li, layer in enumerate(layers):
             if layer.n_out > _STREAMS_PER_LAYER:
                 raise ValueError(f"layer {li} has {layer.n_out} outputs; mismatch "
@@ -181,27 +184,31 @@ def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
     p_crossbar = 0.0
     v = np.asarray(x, dtype=float)
     for li, layer in enumerate(layers):
-        exc = voltage_excitation(v * ctx.v_read)
-        if nonideal and ctx.nonideal is not None:
-            sol_p = output_currents_nonideal(layer.g_plus, exc, ctx.nonideal)
-            sol_m = output_currents_nonideal(layer.g_minus, exc, ctx.nonideal)
-            i_plus, i_minus = sol_p.neuron_currents, sol_m.neuron_currents
-            p_crossbar += sol_p.p_dissipated + sol_m.p_dissipated
+        if ideal:
+            w = layer.weights if isinstance(layer, LayerSpec) else dequantize(layer)
+            pre = w @ v
+            b = pre >= 0.0
         else:
-            i_plus = output_currents_ideal(layer.g_plus, exc)
-            i_minus = output_currents_ideal(layer.g_minus, exc)
-            vin = v * ctx.v_read
-            p_crossbar += float(vin * vin @ (layer.g_plus.g.sum(axis=1)
-                                             + layer.g_minus.g.sum(axis=1)))
-        i_diff = i_plus - i_minus
-        pre = i_diff / (layer.scale * ctx.v_read)
-
-        # Newton leaves v_out within 3*r_load*KCL_TOL of the closed form, so a solved
-        # comparison v_out(i_diff) >= v_out(0) differs from this only at |i_diff| <= 6 pA
-        b = i_diff >= 0.0
-        if nonideal and ctx.mismatch is not None:
+            exc = voltage_excitation(v * ctx.v_read)
+            if nonideal and ctx.nonideal is not None:
+                sol_p = output_currents_nonideal(layer.g_plus, exc, ctx.nonideal)
+                sol_m = output_currents_nonideal(layer.g_minus, exc, ctx.nonideal)
+                i_plus, i_minus = sol_p.neuron_currents, sol_m.neuron_currents
+                p_crossbar += sol_p.p_dissipated + sol_m.p_dissipated
+            else:
+                i_plus = output_currents_ideal(layer.g_plus, exc)
+                i_minus = output_currents_ideal(layer.g_minus, exc)
+                vin = v * ctx.v_read
+                p_crossbar += float(vin * vin @ (layer.g_plus.g.sum(axis=1)
+                                                 + layer.g_minus.g.sum(axis=1)))
+            i_diff = i_plus - i_minus
+            pre = i_diff / (layer.scale * ctx.v_read)
+            # Newton leaves v_out within 3*r_load*KCL_TOL of the closed form, so a solved
+            # v_out(i_diff) >= v_out(0) differs from this only at |i_diff| <= 6 pA
+            b = i_diff >= 0.0
             for j in range(layer.n_out):
-                failures += [(li, j, r) for r in _calibration_failures(ctx, li, j)]
+                if mismatched:
+                    failures += [(li, j, r) for r in _calibration_failures(ctx, li, j)]
                 # sample_params never perturbs ib, so the nominal neuron decides
                 try:
                     check_input_current(ctx.neuron, float(i_diff[j]))
@@ -210,27 +217,8 @@ def _circuit(layers: list[MappedLayer], x: np.ndarray, ctx: CircuitContext,
         pres.append(pre)
         bits.append(b)
         v = b.astype(float) if layer.activation is Activation.THRESHOLD else pre
-    fid = Fidelity.CIRCUIT_NONIDEAL if nonideal else Fidelity.CIRCUIT_IDEAL
-    return InferenceResult(fid, outputs=pres[-1], bits=bits, pre_activations=pres,
+    return InferenceResult(fidelity, outputs=pres[-1], bits=bits, pre_activations=pres,
                            crossbar_power=p_crossbar, failures=failures)
-
-
-def infer(layers, x, fidelity: Fidelity,
-          ctx: CircuitContext | None = None) -> InferenceResult:
-    """Run one input through the network at the requested fidelity tier.
-
-    layers: list of LayerSpec (IdealMath) or MappedLayer (circuit tiers).
-    """
-    if fidelity is Fidelity.IDEAL_MATH:
-        specs = [l if isinstance(l, LayerSpec)
-                 else LayerSpec(dequantize(l), l.activation) for l in layers]
-        return _ideal_math(specs, x)
-    if ctx is None:
-        raise ValueError("circuit fidelities need a CircuitContext")
-    mapped = [l for l in layers]
-    if any(isinstance(l, LayerSpec) for l in mapped):
-        raise ValueError("circuit fidelities need MappedLayer inputs")
-    return _circuit(mapped, x, ctx, nonideal=(fidelity is Fidelity.CIRCUIT_NONIDEAL))
 
 
 @dataclass

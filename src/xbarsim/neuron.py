@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .devices import MosEval, MosParams, Polarity, Region, mos_current_signed, mos_eval
+from .devices import MosEval, MosParams, Region, mos_current_signed, mos_eval
 
 KCL_TOL = 1e-12  # 1 pA
 MAX_ITER = 200
@@ -95,9 +95,6 @@ class RgcParams:
             raise ValueError("ro_b2 must be > 0 (inf for an ideal source)")
         if self.r_load <= 0.0:
             raise ValueError("r_load must be > 0")
-        for name in ("m1", "m2", "m3", "m5"):
-            if getattr(self, name).polarity is not Polarity.NMOS:
-                raise ValueError(f"{name} must be NMOS in this topology")
 
     def with_devices(self, m1=None, m2=None, m3=None, m5=None) -> "RgcParams":
         return replace(self, m1=m1 or self.m1, m2=m2 or self.m2,

@@ -1,6 +1,6 @@
 """Successive-approximation binary search: normalized form, circuit-facing
-calibration of a monotone code->voltage plant, and the shared-SAR scheduler
-that walks an array of neurons one at a time.
+calibration of an increasing code->voltage plant, and a shared SAR that
+trims an array of neurons one at a time.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Sequence
 
 from .neuron import RgcParams, SolverError, solve_dc
@@ -44,11 +43,6 @@ def sar_normalized_converge(x: float, n: int) -> tuple[float, list[float]]:
     return xi, traj
 
 
-class Direction(Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-
-
 @dataclass
 class SarResult:
     code: int
@@ -58,45 +52,27 @@ class SarResult:
     transcript: list = field(default_factory=list)  # (bit, trial_code, plant_value, kept)
 
 
-class NonMonotonePlantError(RuntimeError):
-    pass
+def sar_calibrate(plant: Callable[[int], float], vref: float, nbits: int) -> SarResult:
+    """Binary-search an increasing code->voltage plant toward vref.
 
+    MSB-first: each trial bit is cleared exactly when the plant output at
+    the trial code exceeds vref. Exactly nbits comparator decisions are
+    made; whenever vref lies inside the plant's range the returned code is
+    within one local LSB step of the exhaustive-search optimum.
 
-def sar_calibrate(plant: Callable[[int], float], vref: float, nbits: int,
-                  direction: Direction = Direction.INCREASING,
-                  comparator_offset: float = 0.0,
-                  check_monotone: bool = False) -> SarResult:
-    """Binary-search a monotone code->voltage plant toward vref.
-
-    MSB-first: each trial bit is kept iff the plant output has not crossed
-    vref in the overshoot direction (for an increasing plant: cleared when
-    plant > vref). Exactly nbits comparator decisions are made; whenever
-    vref lies inside the plant's range the returned code is within one local
-    LSB step of the exhaustive-search optimum.
-
-    comparator_offset models a non-ideal comparator (added to the reference).
-    check_monotone sweeps all codes first (extra plant evaluations) and
-    raises NonMonotonePlantError on a violation.
+    A comparator offset is the same search toward vref + offset, and a
+    decreasing plant is the negated plant searched toward -vref.
     """
     if not math.isfinite(vref):
         raise ValueError("vref must be finite")
     if nbits < 1:
         raise ValueError(f"need nbits >= 1, got {nbits}")
-    # +1 or -1, so that sign * (v - vref) > 0 means v overshot vref
-    sign = 1.0 if direction is Direction.INCREASING else -1.0
-    if check_monotone:
-        vals = [plant(c) for c in range(1 << nbits)]
-        if not all(sign * (b - a) > 0 for a, b in zip(vals, vals[1:])):
-            raise NonMonotonePlantError(
-                f"plant is not strictly {direction.value} over codes 0..{(1 << nbits) - 1}")
-
-    vref_eff = vref + comparator_offset
     code = 0
     transcript = []
     for bit in range(nbits):
         trial = code | (1 << (nbits - 1 - bit))
         v = plant(trial)
-        keep = not (sign * (v - vref_eff) > 0)
+        keep = not (v > vref)
         transcript.append((bit, trial, v, keep))
         if keep:
             code, value = trial, v
@@ -104,84 +80,51 @@ def sar_calibrate(plant: Callable[[int], float], vref: float, nbits: int,
         # every bit was cleared, so code 0 itself was never probed
         value = plant(0)
     full = (1 << nbits) - 1
-    over = sign * (value - vref_eff)
-    in_range = not (code == 0 and over > 0) and not (code == full and over < 0)
+    in_range = not (code == 0 and value > vref) and not (code == full and value < vref)
     return SarResult(code=code, value=value, comparisons=nbits,
                      in_range=in_range, transcript=transcript)
 
 
 @dataclass
 class NeuronCalibration:
-    neuron_id: int
     code_in: int | None = None
     code_out: int | None = None
     v_in: float | None = None
     v_out: float | None = None
     in_range: bool = True
+    comparisons: int = 0
     error: str | None = None
 
 
-@dataclass
-class CalibrationSchedule:
-    """One-active-neuron sequencing of a shared SAR over an array."""
+def calibrate_array(neurons: Sequence[RgcParams], vref_in: float, vref_out: float,
+                    calibrate_output: bool = True) -> list[NeuronCalibration]:
+    """Run the shared SAR over every neuron, one at a time, in input order.
 
-    neuron_ids: list[int]
-    vref_in: float
-    vref_out: float
-    results: dict[int, NeuronCalibration] = field(default_factory=dict)
-    comparator_evals: int = 0
-
-    def completed(self) -> bool:
-        return all(nid in self.results for nid in self.neuron_ids)
-
-
-def calibrate_array(neurons: Sequence[RgcParams], schedule: CalibrationSchedule,
-                    nbits: int | None = None,
-                    calibrate_output: bool = True) -> CalibrationSchedule:
-    """Run the shared SAR over every neuron, strictly one at a time.
-
-    The full input-DC pass completes across all neurons before the output
-    pass begins. Per-neuron failures are recorded and the remaining neurons
-    are still processed. The input point is re-solved after the output trim
-    so any residual drift shows up in the recorded v_in.
+    Each neuron's input DAC is trimmed toward vref_in. With calibrate_output
+    its output DAC is then trimmed toward vref_out, and v_in is re-solved at
+    both codes so any residual drift shows up in the record. A failed neuron
+    records its reason and the remaining neurons are still processed.
     """
-    by_id = dict(zip(schedule.neuron_ids, neurons))
-    if len(by_id) != len(schedule.neuron_ids):
-        raise ValueError("neuron_ids and neurons must pair one-to-one")
-
-    for nid in schedule.neuron_ids:
-        p = by_id[nid]
-        n = nbits if nbits is not None else p.dac.nbits
-        rec = NeuronCalibration(neuron_id=nid)
+    records = []
+    for p in neurons:
+        rec = NeuronCalibration()
+        records.append(rec)
         try:
-            res = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in,
-                                schedule.vref_in, n)
-            schedule.comparator_evals += res.comparisons
+            res = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, vref_in, p.dac.nbits)
             rec.code_in, rec.v_in, rec.in_range = res.code, res.value, res.in_range
-        except SolverError as e:
-            rec.error = str(e)
-        schedule.results[nid] = rec
-
-    if calibrate_output:
-        for nid in schedule.neuron_ids:
-            rec = schedule.results[nid]
-            if rec.error is not None or rec.code_in is None:
-                continue
-            p = by_id[nid]
-            n = nbits if nbits is not None else p.dac_out.nbits
-            ci = rec.code_in
-            try:
+            rec.comparisons = res.comparisons
+            if calibrate_output:
+                ci = res.code
                 res = sar_calibrate(lambda c: solve_dc(p, 0.0, ci, out_code=c).v_out,
-                                    schedule.vref_out, n)
-                schedule.comparator_evals += res.comparisons
+                                    vref_out, p.dac_out.nbits)
                 rec.code_out, rec.v_out = res.code, res.value
                 rec.in_range = rec.in_range and res.in_range
+                rec.comparisons += res.comparisons
                 # input point after the output trim (residual drift, if any)
                 rec.v_in = solve_dc(p, 0.0, ci, out_code=res.code).v_in
-            except SolverError as e:
-                rec.error = str(e)
-
-    return schedule
+        except SolverError as e:
+            rec.error = str(e)
+    return records
 
 
 def calibration_latency(n_neurons: int, nbits: int, t_step: float,

@@ -7,7 +7,8 @@ exception is ``solved_readout``: it solves each comparator decision with the
 package's own neuron solver and SAR, which network inference replaces with
 the KCL closed form, so the two can be compared. ``reference_sar_calibrate``
 is the bit-register SAR search that ``sar.sar_calibrate`` replaced with a
-plain MSB-first loop, kept to check that the two agree call for call.
+plain MSB-first loop, kept with its direction, comparator offset and
+monotone sweep to check that the two agree call for call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from xbarsim.montecarlo import run_rng, sample_params
 from xbarsim.neuron import SolverError, solve_dc
-from xbarsim.sar import Direction, NonMonotonePlantError, SarResult, sar_calibrate
+from xbarsim.sar import SarResult, sar_calibrate
 
 
 def nodal_oracle_currents(g, v_in, r_wire_row, r_wire_col, r_neuron):
@@ -141,7 +142,7 @@ def solved_readout(nominal, mismatch, mismatch_seed, vref_in, li, i_diff,
         code = 0
         try:
             code = sar_calibrate(lambda c: solve(p, 0.0, c).v_in, vref_in,
-                                 p.dac.nbits, Direction.INCREASING).code
+                                 p.dac.nbits).code
         except SolverError as e:
             failures.append((j, "calibration", str(e)))
         try:
@@ -154,6 +155,15 @@ def solved_readout(nominal, mismatch, mismatch_seed, vref_in, li, i_diff,
         except SolverError as e:
             failures.append((j, "quiescent", str(e)))
     return bits, failures
+
+
+class Direction(Enum):
+    INCREASING = "increasing"
+    DECREASING = "decreasing"
+
+
+class NonMonotonePlantError(RuntimeError):
+    pass
 
 
 class _Phase(Enum):
@@ -195,7 +205,8 @@ def reference_sar_calibrate(plant, vref, nbits, direction=Direction.INCREASING,
                             comparator_offset=0.0, check_monotone=False):
     """The register-driven SAR search: a state machine steps the trial bit,
     a cache remembers each probed value, and each direction has its own
-    comparisons. Same contract as ``sar.sar_calibrate``."""
+    comparisons. For an increasing plant with no offset and no monotone
+    sweep this is the contract of ``sar.sar_calibrate``."""
     if not math.isfinite(vref):
         raise ValueError("vref must be finite")
     if check_monotone:

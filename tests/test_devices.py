@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from xbarsim.devices import (MemristorCell, MosParams, Polarity, Region,
+from xbarsim.devices import (MemristorCell, MosParams, Region,
                              clamp_conductance, mos_current_signed, mos_eval)
 
 NOM = MosParams(beta=200e-6, vt=0.4, lam=0.0)
@@ -35,13 +35,6 @@ def test_triode_region():
     e = mos_eval(NOM, 0.9, 0.2)
     assert e.region is Region.TRIODE
     assert e.current == pytest.approx(200e-6 * (0.5 * 0.2 - 0.02), rel=1e-12)
-
-
-def test_pmos_sign_flip():
-    p = MosParams(beta=200e-6, vt=0.4, lam=0.0, polarity=Polarity.PMOS)
-    e = mos_eval(p, -0.9, -1.0)
-    assert e.current == pytest.approx(25e-6, rel=1e-12)
-    assert e.region is Region.SATURATION
 
 
 def test_negative_vds_rejected():

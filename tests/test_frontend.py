@@ -172,6 +172,56 @@ class TestMalformedConfigs:
             "81fd1570f4b7a1ebe44e5957bf820d5a87c9bf366ce98aeed1fbbc7f3ee317aa"
 
 
+# data files that parse as config but hold bad contents, each with the kind
+# that reads them and the key its ConfigError must name
+BAD_DATA = [
+    ({"network": {"layers": [{"values": [[1, 2]]}, {"values": [[1, 2, 3]]}]}}, {},
+     "infer", "network.layers[1]"),
+    ({"network": {"layers": [{"values": [["inf", 2]]}]}}, {},
+     "infer", "network.layers[0].values"),
+    ({"network": {"layers": [{"csv": "w.csv"}]}}, {"w.csv": "x,y\n"},
+     "infer", "network.layers[0].csv"),
+    ({"network": {"layers": [{"csv": "w.csv"}]}}, {"w.csv": "1,nan\n"},
+     "infer", "network.layers[0].csv"),
+    ({"network": {"layers": [{"values": [[1, 2]]}, {"csv": "w.csv"}]}},
+     {"w.csv": "1,2,3\n"}, "infer", "network.layers[1]"),
+    ({"network": {"layers": [{"values": [[1, 2]]}], "inputs_csv": "x.csv"}},
+     {"x.csv": "1,0,1\n"}, "infer", "network.inputs_csv"),
+    ({"network": {"layers": [{"values": [[1, 2]]}], "inputs_csv": "x.csv"}},
+     {"x.csv": "1,y\n"}, "infer", "network.inputs_csv"),
+    ({"network": {"layers": [{"values": [[1, 2]]}], "inputs_csv": "x.csv"}},
+     {"x.csv": "1,inf\n"}, "infer", "network.inputs_csv"),
+    ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "0.001,0.002\nx,y\n"},
+     "energy", "crossbar.csv"),
+    ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "0.001,nan\n"},
+     "energy", "crossbar.csv"),
+]
+
+
+class TestBadDataFiles:
+    @staticmethod
+    def _write(tmp_path, doc, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return cfg
+
+    @pytest.mark.parametrize("doc,files,kind,key", BAD_DATA)
+    def test_config_error_names_key(self, tmp_path, doc, files, kind, key):
+        cfg = load_config(self._write(tmp_path, doc, files))
+        with pytest.raises(ConfigError) as e:
+            run_experiment(cfg, ExperimentKind(kind))
+        assert key in str(e.value)
+
+    @pytest.mark.parametrize("doc,files,kind,key", BAD_DATA)
+    def test_cli_exits_2(self, tmp_path, capsys, doc, files, kind, key):
+        cfg = self._write(tmp_path, doc, files)
+        assert main(["--config", str(cfg), kind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+
+
 class TestCanonicalJson:
     def test_sorted_and_stable(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'

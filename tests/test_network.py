@@ -361,6 +361,17 @@ class TestComparatorReadout:
                     assert [f for f in got.failures if f[0] == li] == kept
                     v = got.bits[li].astype(float)
 
+    def test_over_bias_listed_at_every_circuit_tier(self):
+        # 24 full-scale positive weights at 0.2 V drive about 48 uA into
+        # output 0, far above the 5 uA main bias; output 1 stays near zero
+        layers = [mapped(np.vstack([np.ones(24), np.tile([1.0, -1.0], 12)]))]
+        ctx = CircuitContext(neuron=reference_params(), v_read=0.2)
+        for fidelity in (Fidelity.CIRCUIT_IDEAL, Fidelity.CIRCUIT_NONIDEAL):
+            got = infer(layers, np.ones(24), fidelity, ctx)
+            assert [f[:2] for f in got.failures] == [(0, 0)]
+            assert "exceeds main bias" in got.failures[0][2]
+            assert got.bits[0][0]
+
     @staticmethod
     def _i_diff(layer, v, ctx):
         """A layer's differential column currents, computed as infer does."""

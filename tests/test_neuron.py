@@ -11,7 +11,7 @@ from xbarsim.neuron import (KCL_TOL, DacSpec, OperatingPoint, RgcParams,
                             SolverError, dac_current, gain_numeric, gm_tuned,
                             reference_params, rout_numeric, small_signal,
                             solve_dc, transfer_curve, zin_numeric)
-from xbarsim.sar import Direction, sar_calibrate
+from xbarsim.sar import sar_calibrate
 
 from oracles import bisect
 
@@ -253,7 +253,7 @@ class TestTransferCurve:
         codes = [0, (1 << p.dac.nbits) - 1]
         try:
             codes.append(sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, 0.65,
-                                       p.dac.nbits, Direction.INCREASING).code)
+                                       p.dac.nbits).code)
         except SolverError:
             pass  # a stalled SAR search leaves the two fixed codes to check
         for code in codes:

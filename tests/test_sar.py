@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbarsim.neuron import RgcParams, reference_params, solve_dc
-from xbarsim.sar import (CalibrationSchedule, Direction, NonMonotonePlantError,
-                         SarResult, calibrate_array, calibration_latency,
-                         sar_calibrate, sar_normalized_converge,
-                         sar_normalized_step, sign_plus, transcript_csv)
+from xbarsim.sar import (calibrate_array, calibration_latency, sar_calibrate,
+                         sar_normalized_converge, sar_normalized_step, sign_plus,
+                         transcript_csv)
 
-from oracles import reference_sar_calibrate
+from oracles import Direction, reference_sar_calibrate
 
 
 def exhaustive_best(plant, vref, nbits):
@@ -70,10 +69,14 @@ class TestCalibrate:
         assert res.value == 0.5
 
     def test_decreasing_plant(self):
-        res = sar_calibrate(lambda c: 1.0 - c / 16.0, vref=0.3, nbits=4,
-                            direction=Direction.DECREASING)
-        best = exhaustive_best(lambda c: 1.0 - c / 16.0, 0.3, 4)
-        assert abs((1.0 - res.code / 16.0) - 0.3) <= abs((1.0 - best / 16.0) - 0.3) + 1 / 16
+        # a decreasing plant is the negated plant searched toward -vref
+        def plant(c):
+            return 1.0 - c / 16.0
+
+        res = sar_calibrate(lambda c: -plant(c), vref=-0.3, nbits=4)
+        assert res.code == 11  # the largest code with plant(c) >= 0.3
+        best = exhaustive_best(plant, 0.3, 4)
+        assert abs(plant(res.code) - 0.3) <= abs(plant(best) - 0.3) + 1 / 16
 
     def test_out_of_range_low_and_high(self):
         lo = sar_calibrate(lambda c: 0.5 + c / 64.0, vref=0.1, nbits=4)
@@ -82,19 +85,10 @@ class TestCalibrate:
         assert hi.code == 15 and not hi.in_range
 
     def test_comparator_offset_shifts_target(self):
+        # a comparator offset is the same search toward vref + offset
         plain = sar_calibrate(lambda c: c / 16.0, vref=0.3, nbits=4)
-        shifted = sar_calibrate(lambda c: c / 16.0, vref=0.3, nbits=4,
-                                comparator_offset=0.125)
-        assert shifted.code > plain.code
-
-    def test_monotone_check(self):
-        with pytest.raises(NonMonotonePlantError):
-            sar_calibrate(lambda c: abs(c - 8), vref=3.0, nbits=4,
-                          check_monotone=True)
-        # a valid plant passes the check and gives the same answer
-        a = sar_calibrate(lambda c: c / 16.0, 0.3, 4, check_monotone=True)
-        b = sar_calibrate(lambda c: c / 16.0, 0.3, 4)
-        assert a.code == b.code
+        shifted = sar_calibrate(lambda c: c / 16.0, vref=0.3 + 0.125, nbits=4)
+        assert (plain.code, shifted.code) == (4, 6)
 
     def test_neuron_plant_matches_exhaustive(self):
         p = reference_params()
@@ -139,7 +133,12 @@ class TestCalibrate:
 
 
 class TestMatchesRegisterReference:
-    """The MSB-first loop against the register-driven search it replaced."""
+    """The MSB-first loop against the register-driven search it replaced.
+
+    The loop searches an increasing plant toward one reference, so a
+    decreasing plant is negated and searched toward the negated reference,
+    and a comparator offset is added to the reference; both are exact.
+    """
 
     @staticmethod
     def _plant(nbits, shape, decreasing, seed):
@@ -162,33 +161,32 @@ class TestMatchesRegisterReference:
            shape=st.sampled_from(["monotone", "plateau", "stepped", "special"]),
            decreasing=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
            vref=st.floats(-1.2, 1.2), offset=st.sampled_from([0.0, 1e-3, -0.25]),
-           tie=st.none() | st.integers(0, 1023), check_monotone=st.booleans())
+           tie=st.none() | st.integers(0, 1023))
     def test_same_result_and_plant_calls(self, nbits, shape, decreasing, seed,
-                                         vref, offset, tie, check_monotone):
+                                         vref, offset, tie):
         vals = self._plant(nbits, shape, decreasing, seed)
         if tie is not None and tie < len(vals) and math.isfinite(vals[tie]):
             vref, offset = vals[tie], 0.0  # the comparator sees an exact tie
         direction = Direction.DECREASING if decreasing else Direction.INCREASING
+        sign = -1.0 if decreasing else 1.0
 
-        def run(search):
+        def run(search, sign, *args):
             calls = []
 
             def plant(c):
                 calls.append(c)
-                return vals[c]
+                return sign * vals[c]
 
-            try:
-                res = search(plant, vref, nbits, direction, offset, check_monotone)
-            except NonMonotonePlantError as e:
-                return calls, str(e)
-            return calls, (res.code, repr(res.value), res.comparisons, res.in_range,
-                           [(b, t, repr(v), k) for b, t, v, k in res.transcript])
+            res = search(plant, *args)
+            return calls, (res.code, repr(sign * res.value), res.comparisons,
+                           res.in_range,
+                           [(b, t, repr(sign * v), k) for b, t, v, k in res.transcript])
 
-        new_calls, new = run(sar_calibrate)
-        ref_calls, ref = run(reference_sar_calibrate)
+        new_calls, new = run(sar_calibrate, sign, sign * (vref + offset), nbits)
+        ref_calls, ref = run(reference_sar_calibrate, 1.0, vref, nbits, direction, offset)
         assert new_calls == ref_calls
         assert new == ref
-        if shape == "monotone" and isinstance(new, tuple):
+        if shape == "monotone":
             target = vref + offset
             sign = -1.0 if decreasing else 1.0
             below = [c for c, v in enumerate(vals) if sign * v <= sign * target]
@@ -201,24 +199,36 @@ class TestMatchesRegisterReference:
 
 
 class TestArrayCalibration:
-    def _schedule(self, ids):
-        return CalibrationSchedule(neuron_ids=list(ids), vref_in=0.65, vref_out=0.95)
+    VREF_IN, VREF_OUT = 0.65, 0.95
+
+    def _calibrate(self, neurons, calibrate_output=True):
+        return calibrate_array(neurons, self.VREF_IN, self.VREF_OUT, calibrate_output)
 
     def test_single_neuron_matches_direct_sar(self):
         p = reference_params()
-        sched = calibrate_array([p], self._schedule([0]), calibrate_output=False)
+        [rec] = self._calibrate([p], calibrate_output=False)
         direct = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, 0.65, p.dac.nbits)
-        rec = sched.results[0]
         assert rec.code_in == direct.code
         assert rec.v_in == pytest.approx(direct.value, abs=1e-12)
-        assert sched.comparator_evals == p.dac.nbits
+        assert rec.code_out is None
+        assert rec.comparisons == p.dac.nbits
+
+    def test_output_trim_matches_direct_sar(self):
+        p = reference_params()
+        [rec] = self._calibrate([p])
+        ci = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, 0.65, p.dac.nbits).code
+        out = sar_calibrate(lambda c: solve_dc(p, 0.0, ci, out_code=c).v_out, 0.95,
+                            p.dac_out.nbits)
+        assert (rec.code_in, rec.code_out, rec.v_out) == (ci, out.code, out.value)
+        # v_in is the input point re-solved after the output trim
+        assert rec.v_in == solve_dc(p, 0.0, ci, out_code=out.code).v_in
 
     def test_identical_neurons_identical_codes(self):
         p = reference_params()
-        sched = calibrate_array([p] * 8, self._schedule(range(8)))
-        codes = {(r.code_in, r.code_out) for r in sched.results.values()}
-        assert len(codes) == 1
-        assert sched.completed()
+        recs = self._calibrate([p] * 8)
+        assert len(recs) == 8
+        assert len({(r.code_in, r.code_out) for r in recs}) == 1
+        assert all(r.error is None and r.code_out is not None for r in recs)
 
     def test_mismatched_array_vs_exhaustive(self):
         base = reference_params()
@@ -228,10 +238,8 @@ class TestArrayCalibration:
             m2 = base.m2.perturbed(dvt=float(rng.normal(0, 10e-3)),
                                    dbeta_rel=float(rng.normal(0, 0.02)))
             neurons.append(base.with_devices(m2=m2))
-        sched = calibrate_array(neurons, self._schedule(range(8)),
-                                calibrate_output=False)
-        for nid, p in zip(range(8), neurons):
-            rec = sched.results[nid]
+        recs = self._calibrate(neurons, calibrate_output=False)
+        for rec, p in zip(recs, neurons):
 
             def plant(c, p=p):
                 return solve_dc(p, 0.0, c).v_in
@@ -245,25 +253,22 @@ class TestArrayCalibration:
         rng = np.random.default_rng(7)
         neurons = [base.with_devices(m2=base.m2.perturbed(
             dvt=float(rng.normal(0, 10e-3)), dbeta_rel=0.0)) for _ in range(4)]
-        fwd = calibrate_array(neurons, self._schedule([0, 1, 2, 3]))
-        rev = calibrate_array(list(reversed(neurons)),
-                              self._schedule([3, 2, 1, 0]))
-        for nid in range(4):
-            assert fwd.results[nid].code_in == rev.results[nid].code_in
-            assert fwd.results[nid].code_out == rev.results[nid].code_out
+        fwd = self._calibrate(neurons)
+        rev = self._calibrate(list(reversed(neurons)))
+        assert fwd == rev[::-1]
 
     def test_comparator_eval_budget(self):
         p = reference_params()
-        sched = calibrate_array([p] * 5, self._schedule(range(5)))
-        assert sched.comparator_evals == 5 * (p.dac.nbits + p.dac_out.nbits)
+        recs = self._calibrate([p] * 5)
+        assert [r.comparisons for r in recs] == [p.dac.nbits + p.dac_out.nbits] * 5
 
     def test_failed_neuron_recorded_others_proceed(self):
         good = reference_params()
         bad = RgcParams(**{**good.__dict__, "vb3": 0.0})
-        sched = calibrate_array([good, bad, good], self._schedule([0, 1, 2]))
-        assert sched.results[1].error is not None
-        assert sched.results[0].code_in is not None
-        assert sched.results[2].code_in == sched.results[0].code_in
+        recs = self._calibrate([good, bad, good])
+        assert recs[1].error is not None
+        assert recs[0].code_in is not None and recs[0].error is None
+        assert recs[2] == recs[0]
 
 
 class TestLatency:
