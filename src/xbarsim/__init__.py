@@ -3,8 +3,7 @@ with regulated-cascode current-mode neurons and SAR-calibrated DC points."""
 
 __version__ = "0.1.0"
 
-from .devices import (MemristorCell, MosEval, MosParams, Region,
-                      clamp_conductance, mos_eval)
+from .devices import MosEval, MosParams, Region, mos_eval
 from .crossbar import (ConductanceMatrix, Excitation, ExcitationMode,
                        NonIdealSpec, SingularNetworkError, current_excitation,
                        dot_product_error, output_currents_ideal,

@@ -1,4 +1,5 @@
-"""Crossbar array solves: ideal dot products and full resistive nodal analysis.
+"""Crossbar arrays: the bounded conductance matrix, ideal dot products and
+full resistive nodal analysis.
 
 The non-ideal solve assembles the complete resistive network (row wire
 segments, cross-point conductances, column wire segments, finite neuron
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +34,10 @@ class SingularNetworkError(RuntimeError):
 
 @dataclass
 class ConductanceMatrix:
-    """rows x cols memristor conductances (Siemens); the stored weights."""
+    """rows x cols memristor conductances (Siemens); the stored weights.
+
+    Every entry must lie in the programmable window [g_min, g_max].
+    """
 
     g: np.ndarray
     g_min: float = 1e-6
@@ -57,28 +60,6 @@ class ConductanceMatrix:
     @property
     def n_cols(self) -> int:
         return self.g.shape[1]
-
-    @classmethod
-    def from_csv(cls, path: str | Path, g_min: float = 1e-6, g_max: float = 1e-3
-                 ) -> "ConductanceMatrix":
-        """Load a row-major CSV of conductances in Siemens (header optional)."""
-        rows = []
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                cells = [c.strip() for c in line.split(",")]
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    if not rows:  # header line
-                        continue
-                    raise
-        return cls(np.array(rows, dtype=float), g_min=g_min, g_max=g_max)
-
-    def to_csv(self, path: str | Path) -> None:
-        np.savetxt(path, self.g, delimiter=",")
 
 
 @dataclass
@@ -128,10 +109,6 @@ class NonIdealSpec:
         if not (self.r_wire_row >= 0 and self.r_wire_col >= 0 and np.all(r >= 0)):
             raise ValueError("non-ideality resistances must be >= 0")
         return r
-
-    def scaled(self, factor: float) -> "NonIdealSpec":
-        r = np.asarray(self.r_neuron_in, dtype=float) * factor
-        return NonIdealSpec(self.r_wire_row * factor, self.r_wire_col * factor, r)
 
 
 @dataclass

@@ -1,7 +1,8 @@
-"""Square-law MOSFET and memristor cell primitives.
+"""Square-law NMOS primitives.
 
 All quantities are SI. Every modelled transistor is NMOS, as in the
-regulated-cascode neuron, so no polarity is modelled.
+regulated-cascode neuron, so no polarity is modelled. Memristive
+conductances live in crossbar.ConductanceMatrix.
 """
 
 from __future__ import annotations
@@ -93,34 +94,3 @@ def mos_current_signed(p: MosParams, vgs: float, vds: float) -> tuple[float, flo
     e = mos_eval(p, vgs - vds, -vds)
     # chain rule through the swap
     return -e.current, -e.gm, e.gm + e.gds
-
-
-@dataclass(frozen=True)
-class MemristorCell:
-    """A programmable resistive cross-point element."""
-
-    g: float
-    g_min: float
-    g_max: float
-    clamped: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.g_min <= self.g_max):
-            raise ValueError(
-                f"need 0 < g_min <= g_max, got g_min={self.g_min}, g_max={self.g_max}"
-            )
-        if not (self.g_min <= self.g <= self.g_max):
-            raise ValueError(f"g={self.g} outside [{self.g_min}, {self.g_max}]")
-
-
-def clamp_conductance(g_raw: float, g_min: float, g_max: float) -> MemristorCell:
-    """Clamp a raw conductance into the programmable window.
-
-    The returned cell reports whether clamping occurred.
-    """
-    if not (0.0 < g_min <= g_max):
-        raise ValueError(
-            f"need 0 < g_min <= g_max, got g_min={g_min}, g_max={g_max}"
-        )
-    g = min(max(g_raw, g_min), g_max)
-    return MemristorCell(g=g, g_min=g_min, g_max=g_max, clamped=(g != g_raw))

@@ -4,6 +4,7 @@ module and wrap the result in a replayable report record.
 
 from __future__ import annotations
 
+import warnings
 from enum import Enum
 from pathlib import Path
 
@@ -30,11 +31,17 @@ class ExperimentKind(Enum):
 
 
 def _load_csv(cfg: SimConfig, path: str, key: str) -> np.ndarray:
-    """A CSV of finite numbers as a 2-D array; a fault names the key."""
-    try:
-        m = np.loadtxt(Path(cfg.base_dir) / path, delimiter=",", ndmin=2)
-    except ValueError as e:
-        raise ConfigError(f"{key}: {e}") from None
+    """A CSV of finite numbers as a 2-D array: numeric rows only, no header
+    line, blank lines skipped; an empty file or a fault names the key."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: reported below
+        try:
+            lines = (Path(cfg.base_dir) / path).read_text(encoding="utf-8").splitlines()
+            m = np.loadtxt([ln for ln in lines if ln.strip()], delimiter=",", ndmin=2)
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from None
+    if m.size == 0:
+        raise ConfigError(f"{key}: file holds no data rows")
     if not np.all(np.isfinite(m)):
         raise ConfigError(f"{key}: values must be finite")
     return m
@@ -63,16 +70,15 @@ def _load_layers(cfg: SimConfig) -> list[LayerSpec]:
 def _crossbar(cfg: SimConfig) -> ConductanceMatrix:
     c = cfg["crossbar"]
     if c["values"] is not None:
-        g = np.array(c["values"], dtype=float)
+        key, g = "crossbar.values", np.array(c["values"], dtype=float)
     elif c["csv"] is not None:
-        try:
-            return ConductanceMatrix.from_csv(Path(cfg.base_dir) / c["csv"],
-                                              g_min=c["g_min"], g_max=c["g_max"])
-        except ValueError as e:
-            raise ConfigError(f"crossbar.csv: {e}") from None
+        key, g = "crossbar.csv", _load_csv(cfg, c["csv"], "crossbar.csv")
     else:
         raise ConfigError("crossbar.values: required (or crossbar.csv) for this kind")
-    return ConductanceMatrix(g, g_min=c["g_min"], g_max=c["g_max"])
+    try:
+        return ConductanceMatrix(g, g_min=c["g_min"], g_max=c["g_max"])
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
 
 
 def run_experiment(cfg: SimConfig, kind: ExperimentKind,

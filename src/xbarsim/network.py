@@ -62,9 +62,7 @@ class MappedLayer:
 
     g_plus: ConductanceMatrix     # shape (n_in, n_out)
     g_minus: ConductanceMatrix
-    bits: int
     scale: float                  # Siemens per unit weight
-    w_ref: float
     activation: Activation = Activation.THRESHOLD
 
     @property
@@ -105,7 +103,7 @@ def map_weights(w: np.ndarray, bits: int, g_min: float, g_max: float,
     return MappedLayer(
         g_plus=ConductanceMatrix(g_plus.T, g_min=g_min, g_max=g_max),
         g_minus=ConductanceMatrix(g_minus.T, g_min=g_min, g_max=g_max),
-        bits=bits, scale=scale, w_ref=w_ref, activation=activation,
+        scale=scale, activation=activation,
     )
 
 

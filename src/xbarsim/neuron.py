@@ -1,4 +1,5 @@
-"""Regulated-cascode transimpedance neuron: DC solver and small-signal report.
+"""Regulated-cascode transimpedance neuron: DC solver, small-signal report
+and transfer-curve sweeps.
 
 Topology (all NMOS, square-law):
 
@@ -38,10 +39,6 @@ MAX_HALVINGS = 20
 class SolverError(RuntimeError):
     """DC solve failed (non-convergence or infeasible bias)."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class DacSpec:
@@ -55,10 +52,6 @@ class DacSpec:
             raise ValueError(f"i_unit must be > 0, got {self.i_unit}")
         if not (1 <= self.nbits <= 24):
             raise ValueError(f"nbits must be in [1, 24], got {self.nbits}")
-
-    @property
-    def full_scale_code(self) -> int:
-        return (1 << self.nbits) - 1
 
 
 def dac_current(dac: DacSpec, code: int) -> float:
@@ -165,7 +158,7 @@ def _newton(residual_jac, v0: np.ndarray) -> tuple[np.ndarray, int, float]:
         try:
             dv = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as e:
-            raise SolverError(f"singular Jacobian at iteration {it}", residual=norm) from e
+            raise SolverError(f"singular Jacobian at iteration {it}") from e
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             v_new = v + t * dv
@@ -177,12 +170,11 @@ def _newton(residual_jac, v0: np.ndarray) -> tuple[np.ndarray, int, float]:
         if norm_new >= norm:
             if norm <= KCL_TOL:
                 return v, it, norm  # converged; damping makes no further progress
-            raise SolverError(
-                f"Newton stalled at iteration {it}: residual {norm:.3e} A", residual=norm)
+            raise SolverError(f"Newton stalled at iteration {it}: residual {norm:.3e} A")
         v, f, jac, norm = v_new, f_new, jac_new, norm_new
     if norm <= KCL_TOL:
         return v, MAX_ITER, norm
-    raise SolverError(f"Newton did not converge: last residual {norm:.3e} A", residual=norm)
+    raise SolverError(f"Newton did not converge: last residual {norm:.3e} A")
 
 
 def check_input_current(p: RgcParams, i_in: float) -> None:
@@ -241,12 +233,10 @@ def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
     e2 = mos_eval(p.m2, vin, vg) if vg >= 0 else None
     e3 = mos_eval(p.m3, p.vb3 - vy, vo - vy) if vo >= vy else None
     if e1 is None or e2 is None or e3 is None:
-        raise SolverError("converged to a reversed drain-source pair; bias infeasible",
-                          residual=norm)
+        raise SolverError("converged to a reversed drain-source pair; bias infeasible")
     for name, e in (("m1", e1), ("m2", e2), ("m3", e3)):
         if e.region is Region.CUTOFF:
-            raise SolverError(f"{name} is in cutoff at the solution (infeasible bias)",
-                              residual=norm)
+            raise SolverError(f"{name} is in cutoff at the solution (infeasible bias)")
     return OperatingPoint(
         v_in=vin, v_gate1=vg, v_mid=vy, v_out=vo,
         i_stack=e1.current, i_fb=i_fb, i_dac_out=i_daco,
@@ -347,27 +337,20 @@ def rout_numeric(p: RgcParams, op: OperatingPoint,
 
 @dataclass
 class TransferCurve:
-    """Sampled i_in -> v_out characteristic with a central-window linear fit."""
+    """Sampled i_in -> v_out characteristic. KCL at a solved point gives
+    v_out = vdd - r_load*(ib - i_in - i_dac_out), so every feasible point
+    lies on one line of slope r_load."""
 
     i_in: np.ndarray
     v_out: np.ndarray
-    slope: float
-    intercept: float
-    max_fit_residual: float
     infeasible: list = field(default_factory=list)
 
 
 def transfer_curve(p: RgcParams, code: int, i_values) -> TransferCurve:
-    """Sweep the input current and report v_out plus linearity.
-
-    The linear fit and its residual are taken over the central 80% of the
-    feasible sweep; infeasible points are flagged, not fatal.
-    """
-    i_values = np.asarray(i_values, dtype=float)
-    outs = []
-    feasible = []
-    infeasible = []
-    for i in i_values:
+    """Sweep the input current and report v_out at each feasible point;
+    infeasible points are flagged with their reason, not fatal."""
+    outs, feasible, infeasible = [], [], []
+    for i in np.asarray(i_values, dtype=float):
         try:
             outs.append(solve_dc(p, float(i), code).v_out)
             feasible.append(float(i))
@@ -375,19 +358,5 @@ def transfer_curve(p: RgcParams, code: int, i_values) -> TransferCurve:
             infeasible.append((float(i), str(e)))
     if not feasible:
         raise SolverError("no feasible sweep points")
-    xi = np.array(feasible)
-    yo = np.array(outs)
-    n = len(xi)
-    if n == 1:
-        return TransferCurve(i_in=xi, v_out=yo, slope=math.nan,
-                             intercept=float(yo[0]), max_fit_residual=0.0,
-                             infeasible=infeasible)
-    lo, hi = int(math.ceil(0.1 * n)), n - int(math.ceil(0.1 * n))
-    if hi - lo < 2:  # short sweeps: fit the full range instead
-        lo, hi = 0, n
-    xc, yc = xi[lo:hi], yo[lo:hi]
-    slope, intercept = np.polyfit(xc, yc, 1)
-    resid = float(np.max(np.abs(yc - (slope * xc + intercept))))
-    return TransferCurve(i_in=xi, v_out=yo, slope=float(slope),
-                         intercept=float(intercept), max_fit_residual=resid,
+    return TransferCurve(i_in=np.array(feasible), v_out=np.array(outs),
                          infeasible=infeasible)

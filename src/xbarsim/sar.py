@@ -5,8 +5,6 @@ trims an array of neurons one at a time.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -136,12 +134,3 @@ def calibration_latency(n_neurons: int, nbits: int, t_step: float,
         raise ValueError("arguments must be positive (n_neurons may be 0)")
     return n_neurons * nodes_per_neuron * nbits * t_step
 
-
-def transcript_csv(result: SarResult) -> str:
-    """Per-step bit decisions as CSV, for debugging and plots."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["bit_index", "trial_code", "plant_value", "kept"])
-    for bit, trial, v, kept in result.transcript:
-        w.writerow([bit, trial, repr(float(v)), int(kept)])
-    return buf.getvalue()

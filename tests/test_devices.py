@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from xbarsim.devices import (MemristorCell, MosParams, Region,
-                             clamp_conductance, mos_current_signed, mos_eval)
+from xbarsim.devices import MosParams, Region, mos_current_signed, mos_eval
 
 NOM = MosParams(beta=200e-6, vt=0.4, lam=0.0)
 
@@ -107,30 +106,6 @@ def test_signed_partials_match_fd():
                  - mos_current_signed(p, vgs, vds - h)[0]) / (2 * h)
         assert dg == pytest.approx(dg_fd, rel=1e-5)
         assert dd == pytest.approx(dd_fd, rel=1e-5)
-
-
-def test_clamp_upper():
-    c = clamp_conductance(2e-3, 1e-6, 1e-3)
-    assert c.g == 1e-3 and c.clamped
-
-
-def test_clamp_interior():
-    c = clamp_conductance(0.5e-3, 1e-6, 1e-3)
-    assert c.g == 0.5e-3 and not c.clamped
-
-
-def test_clamp_lower():
-    c = clamp_conductance(0.0, 1e-6, 1e-3)
-    assert c.g == 1e-6 and c.clamped
-
-
-def test_clamp_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        clamp_conductance(1e-3, 1e-3, 1e-6)
-    with pytest.raises(ValueError):
-        clamp_conductance(1e-3, 0.0, 1e-6)
-    with pytest.raises(ValueError):
-        MemristorCell(g=1e-3, g_min=0.0, g_max=1e-3)
 
 
 def test_params_validation():

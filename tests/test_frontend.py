@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xbarsim.cli import main
@@ -173,7 +174,8 @@ class TestMalformedConfigs:
 
 
 # data files that parse as config but hold bad contents, each with the kind
-# that reads them and the key its ConfigError must name
+# that reads them and the text its ConfigError must hold: the key, and the
+# reason where the key alone does not tell the cases apart
 BAD_DATA = [
     ({"network": {"layers": [{"values": [[1, 2]]}, {"values": [[1, 2, 3]]}]}}, {},
      "infer", "network.layers[1]"),
@@ -195,6 +197,21 @@ BAD_DATA = [
      "energy", "crossbar.csv"),
     ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "0.001,nan\n"},
      "energy", "crossbar.csv"),
+    ({"network": {"layers": [{"csv": "w.csv"}]}}, {"w.csv": ""},
+     "infer", "network.layers[0].csv: file holds no data rows"),
+    ({"network": {"layers": [{"values": [[1, 2]]}], "inputs_csv": "x.csv"}},
+     {"x.csv": "\n\n"}, "infer", "network.inputs_csv: file holds no data rows"),
+    ({"crossbar": {"csv": "g.csv"}}, {"g.csv": " \n\t\n"},
+     "energy", "crossbar.csv: file holds no data rows"),
+    ({"crossbar": {"values": [["2", "1m"]]}}, {},
+     "energy", "crossbar.values: conductance entries outside [g_min, g_max]"),
+    ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "2,0.001\n"},
+     "energy", "crossbar.csv: conductance entries outside [g_min, g_max]"),
+    # a data file holds plain numbers: no engineering literals, no header line
+    ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "1m,2m\n"},
+     "energy", "crossbar.csv: could not convert string '1m' to float64 at row 0"),
+    ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "g0,g1\n0.001,0.0005\n"},
+     "energy", "crossbar.csv: could not convert string 'g0' to float64 at row 0"),
 ]
 
 
@@ -220,6 +237,16 @@ class TestBadDataFiles:
         assert main(["--config", str(cfg), kind]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
+
+    def test_savetxt_matrix_matches_inline_values(self, tmp_path):
+        g = np.random.default_rng(12).uniform(1e-6, 1e-3, (4, 3))
+        np.savetxt(tmp_path / "g.csv", g, delimiter=",")
+        with open(tmp_path / "g.csv", "a") as f:
+            f.write("  \n")  # a blank line is skipped, spaces or not
+        from_csv = load_config(self._write(tmp_path, {"crossbar": {"csv": "g.csv"}}, {}))
+        inline = parse_config(json.dumps({"crossbar": {"values": g.tolist()}}))
+        assert run_experiment(from_csv, ExperimentKind.ENERGY).payload == \
+            run_experiment(inline, ExperimentKind.ENERGY).payload
 
 
 class TestCanonicalJson:

@@ -227,9 +227,10 @@ class TestTransferCurve:
         p = lam0_params()
         sweep = np.linspace(-2e-6, 2e-6, 11)
         tc = transfer_curve(p, 0, sweep)
-        swing = tc.v_out.max() - tc.v_out.min()
-        assert tc.max_fit_residual <= 0.02 * swing
-        assert tc.slope == pytest.approx(p.r_load, rel=1e-6)
+        assert len(tc.i_in) == len(sweep) and not tc.infeasible
+        # KCL: v_out = vdd - r_load*(ib - i_in - i_dac_out), and i_dac_out = 0 here
+        kcl = p.vdd - p.r_load * (p.ib - tc.i_in)
+        assert tc.v_out == pytest.approx(kcl, rel=0, abs=1e-9)
 
     def test_sweep_direction_invariant(self):
         p = reference_params()

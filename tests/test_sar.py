@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from xbarsim.neuron import RgcParams, reference_params, solve_dc
 from xbarsim.sar import (calibrate_array, calibration_latency, sar_calibrate,
-                         sar_normalized_converge, sar_normalized_step, sign_plus,
-                         transcript_csv)
+                         sar_normalized_converge, sar_normalized_step, sign_plus)
 
 from oracles import Direction, reference_sar_calibrate
 
@@ -102,12 +101,6 @@ class TestCalibrate:
         lsb = abs(plant(min(best + 1, 63)) - plant(max(best - 1, 0)))
         assert abs(plant(res.code) - vref) <= abs(plant(best) - vref) + lsb
         assert res.comparisons == p.dac.nbits
-
-    def test_transcript_csv_shape(self):
-        res = sar_calibrate(lambda c: c / 16.0, vref=0.3, nbits=4)
-        lines = transcript_csv(res).strip().split("\n")
-        assert lines[0] == "bit_index,trial_code,plant_value,kept"
-        assert len(lines) == 5
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8), st.floats(0.0, 1.0), st.data())
