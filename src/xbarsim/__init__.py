@@ -12,11 +12,9 @@ from .neuron import (DacSpec, OperatingPoint, RgcParams, SmallSignalReport,
                      SolverError, dac_current, gain_numeric, gm_tuned,
                      reference_params, rout_numeric, small_signal, solve_dc,
                      transfer_curve, zin_numeric)
-from .sar import (NeuronCalibration, SarResult, calibrate_array,
-                  calibration_latency, sar_calibrate, sar_normalized_converge,
+from .sar import (SarResult, sar_calibrate, sar_normalized_converge,
                   sar_normalized_step)
-from .montecarlo import (McResult, MismatchSpec, compare_stats, run_mc,
-                         run_rng, sample_params)
+from .montecarlo import McResult, MismatchSpec, run_mc, run_rng, sample_params
 from .network import (Activation, CircuitContext, EnergyReport, Fidelity,
                       LayerSpec, MappedLayer, dequantize, digital_baseline,
                       energy_estimate, infer, map_weights)

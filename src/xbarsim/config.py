@@ -268,6 +268,7 @@ def _check_invariants(data: dict):
     require(0 < c["g_min"] <= c["g_max"], "crossbar.g_min", "need 0 < g_min <= g_max")
     require(1 <= data["sar"]["nbits"] <= n["dac"]["nbits"], "sar.nbits",
             "must be in [1, neuron.dac.nbits]")
+    require(data["sar"]["grid_points"] >= 1, "sar.grid_points", "must be >= 1")
     require(data["sar"]["grid_n"] >= 1, "sar.grid_n", "must be >= 1")
     m = data["mismatch"]
     require(m["sigma_vt"] >= 0 and m["sigma_beta_rel"] >= 0,
@@ -276,6 +277,10 @@ def _check_invariants(data: dict):
     require(net["bits"] >= 1, "network.bits", "must be >= 1")
     require(net["n_inputs"] >= 1, "network.n_inputs", "must be >= 1")
     require(net["v_read"] > 0, "network.v_read", "must be > 0")
+    require(0 < net["g_min"] <= net["g_max"], "network.g_min", "need 0 < g_min <= g_max")
+    for key, value in data["energy"].items():
+        require(value >= 0, f"energy.{key}", "must be >= 0")
+    require(data["energy"]["amortize_over"] >= 1, "energy.amortize_over", "must be >= 1")
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> SimConfig:

@@ -4,7 +4,8 @@ module and wrap the result in a replayable report record.
 
 from __future__ import annotations
 
-import warnings
+import math
+import re
 from enum import Enum
 from pathlib import Path
 
@@ -30,21 +31,39 @@ class ExperimentKind(Enum):
     ENERGY = "energy"
 
 
+# a decimal literal as numpy's text reader takes it; float() alone would also
+# take '1_0' and non-ASCII digits
+_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+
+
+def _number(cell: str, key: str, line: int, column: int) -> float:
+    s = cell.strip()
+    v = float(s) if _NUMBER.fullmatch(s) else math.nan
+    if not math.isfinite(v):
+        raise ConfigError(f"{key}: could not read {cell!r} as a finite number at "
+                          f"line {line}, column {column}")
+    return v
+
+
 def _load_csv(cfg: SimConfig, path: str, key: str) -> np.ndarray:
-    """A CSV of finite numbers as a 2-D array: numeric rows only, no header
-    line, blank lines skipped; an empty file or a fault names the key."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no data rows: reported below
-        try:
-            lines = (Path(cfg.base_dir) / path).read_text(encoding="utf-8").splitlines()
-            m = np.loadtxt([ln for ln in lines if ln.strip()], delimiter=",", ndmin=2)
-        except ValueError as e:
-            raise ConfigError(f"{key}: {e}") from None
-    if m.size == 0:
+    """A CSV of finite numbers as a 2-D array: comma-separated rows of equal
+    width, no header line. Blank lines and lines starting with '#' are
+    skipped, and '#' ends a row. A fault names the key and the file line,
+    and for a cell its column, both counted from 1."""
+    lines = (Path(cfg.base_dir) / path).read_text(encoding="utf-8").splitlines()
+    rows, first = [], 0
+    for n, line in enumerate(lines, 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = line.split("#", 1)[0].split(",")
+        if rows and len(cells) != len(rows[0]):
+            raise ConfigError(f"{key}: line {n} has {len(cells)} values, but line "
+                              f"{first} has {len(rows[0])}")
+        first = first or n
+        rows.append([_number(c, key, n, k) for k, c in enumerate(cells, 1)])
+    if not rows:
         raise ConfigError(f"{key}: file holds no data rows")
-    if not np.all(np.isfinite(m)):
-        raise ConfigError(f"{key}: values must be finite")
-    return m
+    return np.array(rows)
 
 
 def _load_layers(cfg: SimConfig) -> list[LayerSpec]:

@@ -7,7 +7,6 @@ of evaluation order or worker count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,26 +138,3 @@ def run_mc(nominal: RgcParams, spec: MismatchSpec, n_runs: int, seed: int,
         mean_post=float(np.mean(post)), std_post=float(np.std(post, ddof=1)),
         excluded=excluded, out_of_range=out_of_range, failures=failures,
     )
-
-
-@dataclass
-class StatsComparison:
-    factor: float
-    summary: str
-
-
-def compare_stats(a: McResult, b: McResult) -> StatsComparison:
-    """Spread-reduction factor std(a)/std(b) with a two-line summary.
-
-    Conventionally a is the uncalibrated result and b the calibrated one; a
-    zero calibrated spread is reported as an infinite reduction.
-    """
-    sa = a.std_post if a.calibrated else a.std_pre
-    sb = b.std_post if b.calibrated else b.std_pre
-    factor = math.inf if sb == 0.0 else sa / sb
-    summary = (
-        f"std {sa * 1e3:.5f} mV -> {sb * 1e3:.5f} mV over "
-        f"{a.n_runs}/{b.n_runs} runs\n"
-        f"spread reduction factor: {factor:.3f}"
-    )
-    return StatsComparison(factor=factor, summary=summary)

@@ -197,8 +197,8 @@ def infer(layers, x, fidelity: Fidelity,
                 i_plus = output_currents_ideal(layer.g_plus, exc)
                 i_minus = output_currents_ideal(layer.g_minus, exc)
                 vin = v * ctx.v_read
-                p_crossbar += float(vin * vin @ (layer.g_plus.g.sum(axis=1)
-                                                 + layer.g_minus.g.sum(axis=1)))
+                p_crossbar += (crossbar_energy_ideal(layer.g_plus, vin, 1.0)
+                               + crossbar_energy_ideal(layer.g_minus, vin, 1.0))
             i_diff = i_plus - i_minus
             pre = i_diff / (layer.scale * ctx.v_read)
             # Newton leaves v_out within 3*r_load*KCL_TOL of the closed form, so a solved

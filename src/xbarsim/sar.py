@@ -1,15 +1,12 @@
-"""Successive-approximation binary search: normalized form, circuit-facing
-calibration of an increasing code->voltage plant, and a shared SAR that
-trims an array of neurons one at a time.
+"""Successive-approximation binary search: the normalized recurrence and
+the circuit-facing calibration of an increasing code->voltage plant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-from .neuron import RgcParams, SolverError, solve_dc
+from typing import Callable
 
 
 def sign_plus(t: float) -> float:
@@ -81,56 +78,3 @@ def sar_calibrate(plant: Callable[[int], float], vref: float, nbits: int) -> Sar
     in_range = not (code == 0 and value > vref) and not (code == full and value < vref)
     return SarResult(code=code, value=value, comparisons=nbits,
                      in_range=in_range, transcript=transcript)
-
-
-@dataclass
-class NeuronCalibration:
-    code_in: int | None = None
-    code_out: int | None = None
-    v_in: float | None = None
-    v_out: float | None = None
-    in_range: bool = True
-    comparisons: int = 0
-    error: str | None = None
-
-
-def calibrate_array(neurons: Sequence[RgcParams], vref_in: float, vref_out: float,
-                    calibrate_output: bool = True) -> list[NeuronCalibration]:
-    """Run the shared SAR over every neuron, one at a time, in input order.
-
-    Each neuron's input DAC is trimmed toward vref_in. With calibrate_output
-    its output DAC is then trimmed toward vref_out, and v_in is re-solved at
-    both codes so any residual drift shows up in the record. A failed neuron
-    records its reason and the remaining neurons are still processed.
-    """
-    records = []
-    for p in neurons:
-        rec = NeuronCalibration()
-        records.append(rec)
-        try:
-            res = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, vref_in, p.dac.nbits)
-            rec.code_in, rec.v_in, rec.in_range = res.code, res.value, res.in_range
-            rec.comparisons = res.comparisons
-            if calibrate_output:
-                ci = res.code
-                res = sar_calibrate(lambda c: solve_dc(p, 0.0, ci, out_code=c).v_out,
-                                    vref_out, p.dac_out.nbits)
-                rec.code_out, rec.v_out = res.code, res.value
-                rec.in_range = rec.in_range and res.in_range
-                rec.comparisons += res.comparisons
-                # input point after the output trim (residual drift, if any)
-                rec.v_in = solve_dc(p, 0.0, ci, out_code=res.code).v_in
-        except SolverError as e:
-            rec.error = str(e)
-    return records
-
-
-def calibration_latency(n_neurons: int, nbits: int, t_step: float,
-                        nodes_per_neuron: int = 1) -> float:
-    """Total stabilization time: one comparison period per decided bit."""
-    if n_neurons < 0 or nbits <= 0 or t_step <= 0 or nodes_per_neuron <= 0:
-        if n_neurons == 0:
-            return 0.0
-        raise ValueError("arguments must be positive (n_neurons may be 0)")
-    return n_neurons * nodes_per_neuron * nbits * t_step
-

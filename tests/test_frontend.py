@@ -1,14 +1,18 @@
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarsim.cli import main
 from xbarsim.config import (ConfigError, load_config, parse_config,
                             parse_engineering)
-from xbarsim.experiments import ExperimentKind, run_experiment
+from xbarsim.experiments import ExperimentKind, _load_csv, run_experiment
 from xbarsim.network import Activation, Fidelity
 from xbarsim.reports import (ReportFormat, UnsupportedFormatError,
                              canonical_json, config_digest, emit_report)
@@ -124,6 +128,17 @@ MALFORMED = [
     ({"network": {"fidelity": "exact"}}, "network.fidelity"),
     ({"output": {"format": 5}}, "output.format"),
     ({"preset": "other"}, "preset"),
+    ({"network": {"g_min": 0}}, "network.g_min"),
+    ({"network": {"g_min": "20u"}}, "network.g_min"),
+    ({"sar": {"grid_points": 0}}, "sar.grid_points"),
+    ({"energy": {"t_eval": -1}}, "energy.t_eval"),
+    ({"energy": {"t_sar_step": -1}}, "energy.t_sar_step"),
+    ({"energy": {"p_neuron": -1}}, "energy.p_neuron"),
+    ({"energy": {"p_sar": -1}}, "energy.p_sar"),
+    ({"energy": {"e_mac": -1}}, "energy.e_mac"),
+    ({"energy": {"e_act": "-1p"}}, "energy.e_act"),
+    ({"energy": {"amortize_over": 0}}, "energy.amortize_over"),
+    ({"energy": {"amortize_over": -5}}, "energy.amortize_over"),
 ]
 
 
@@ -209,9 +224,17 @@ BAD_DATA = [
      "energy", "crossbar.csv: conductance entries outside [g_min, g_max]"),
     # a data file holds plain numbers: no engineering literals, no header line
     ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "1m,2m\n"},
-     "energy", "crossbar.csv: could not convert string '1m' to float64 at row 0"),
+     "energy", "crossbar.csv: could not read '1m' as a finite number at line 1, column 1"),
     ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "g0,g1\n0.001,0.0005\n"},
-     "energy", "crossbar.csv: could not convert string 'g0' to float64 at row 0"),
+     "energy", "crossbar.csv: could not read 'g0' as a finite number at line 1, column 1"),
+    # lines count from 1 in the file, blank and comment lines included
+    ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "0.001,0.002\n0.003,x\n"},
+     "energy", "crossbar.csv: could not read 'x' as a finite number at line 2, column 2"),
+    ({"crossbar": {"csv": "g.csv"}}, {"g.csv": "0.001,0.0002\n\n# g\n0.0003\n"},
+     "energy", "crossbar.csv: line 4 has 1 values, but line 1 has 2"),
+    ({"network": {"layers": [{"csv": "w.csv"}]}}, {"w.csv": "# w\n1_0,2\n"},
+     "infer", "network.layers[0].csv: could not read '1_0' as a finite number at line 2, "
+     "column 1"),
 ]
 
 
@@ -247,6 +270,48 @@ class TestBadDataFiles:
         inline = parse_config(json.dumps({"crossbar": {"values": g.tolist()}}))
         assert run_experiment(from_csv, ExperimentKind.ENERGY).payload == \
             run_experiment(inline, ExperimentKind.ENERGY).payload
+
+
+def numpy_reader(text: str) -> np.ndarray:
+    """The matrix-file reader _load_csv replaced: np.loadtxt over the lines
+    that are not blank, then the finite check. It raises ValueError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        m = np.loadtxt(lines, delimiter=",", ndmin=2)
+    if m.size == 0 or not np.all(np.isfinite(m)):
+        raise ValueError("no data rows or a non-finite value")
+    return m
+
+
+CELLS = st.sampled_from(["1", "-2.5e-3", "+.5", "5.", "1E+05", " 3 ", "\t4\xa0", "0",
+                         "", " ", "inf", "-Infinity", "nan", "1e999", "1_0", "\uff11",
+                         "0x1", "1 2", "1e", ".", "x", "1 # c"])
+LINES = st.one_of(st.lists(CELLS | st.text("0123456789.eE+-_ \t\xa0#x", max_size=4),
+                           min_size=1, max_size=3).map(",".join),
+                  st.sampled_from(["", "  ", "# c", "#", "  # c", "\x0c"]))
+
+
+class TestMatrixFileReader:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(LINES, max_size=4).map("\n".join))
+    def test_same_files_and_values_as_numpy_reader(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "m.csv").write_text(text, encoding="utf-8")
+            try:
+                want = numpy_reader((Path(d) / "m.csv").read_text(encoding="utf-8"))
+            except ValueError:
+                want = None
+            try:
+                got = _load_csv(parse_config("{}", base_dir=d), "m.csv", "k")
+            except ConfigError as e:
+                assert str(e).startswith("k: ")
+                assert not any(w in str(e) for w in ("numpy", "float64", "usecols"))
+                got = None
+        if want is None or got is None:
+            assert want is None and got is None
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestCanonicalJson:

@@ -6,8 +6,7 @@ import pytest
 from xbarsim import montecarlo
 from xbarsim.config import parse_config
 from xbarsim.experiments import ExperimentKind, run_experiment
-from xbarsim.montecarlo import (MismatchSpec, compare_stats, run_mc, run_rng,
-                                sample_params)
+from xbarsim.montecarlo import MismatchSpec, run_mc, run_rng, sample_params
 from xbarsim.neuron import SolverError, dac_current, reference_params, solve_dc
 from xbarsim.reports import ReportFormat, emit_report
 
@@ -106,21 +105,6 @@ class TestRunMc:
 
 
 class TestReporting:
-    def test_compare_stats_identity(self):
-        res = run_mc(NOM, MismatchSpec(), n_runs=20, seed=4, calibrate=False)
-        cmpres = compare_stats(res, res)
-        assert cmpres.factor == pytest.approx(1.0, rel=1e-12)
-
-    def test_compare_stats_zero_denominator(self):
-        a = run_mc(NOM, MismatchSpec(), n_runs=5, seed=4, calibrate=False)
-        b = run_mc(NOM, MismatchSpec(0.0, 0.0), n_runs=5, seed=4)
-        assert compare_stats(a, b).factor == math.inf
-
-    def test_compare_stats_reduction(self):
-        uncal = run_mc(NOM, MismatchSpec(), n_runs=100, seed=6, calibrate=False)
-        cal = run_mc(NOM, MismatchSpec(), n_runs=100, seed=6, calibrate=True)
-        assert compare_stats(uncal, cal).factor >= 2.0
-
     def test_report_csv_layout(self):
         cfg = parse_config("{}")
         rec = run_experiment(cfg, ExperimentKind.MC, seed=8, runs=5)

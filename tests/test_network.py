@@ -128,6 +128,47 @@ class TestInference:
         got = infer(layers, x, Fidelity.CIRCUIT_IDEAL, ctx)
         assert got.pre_activations[0] == pytest.approx(w @ x, abs=1e-3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(net_seed=st.integers(0, 2**32 - 1),
+           widths=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 4)),
+           bits=st.integers(1, 8), v_read=st.floats(0.01, 0.3),
+           activation=st.sampled_from(Activation), n_inputs=st.integers(1, 3))
+    def test_circuit_ideal_is_zero_spec_nodal(self, net_seed, widths, bits, v_read,
+                                              activation, n_inputs):
+        # the ideal crossbar is the nodal crossbar with no wire or neuron resistance;
+        # rows leaning to one sign drive some columns past the 5 uA main bias
+        rng = np.random.default_rng(net_seed)
+        layers = [mapped(rng.uniform(-1, 1, (n_out, n_in)) + rng.uniform(-1, 1, (n_out, 1)),
+                         bits, activation=act)
+                  for (n_in, n_out), act in zip(zip(widths, widths[1:]),
+                                                (activation, Activation.THRESHOLD))]
+        ideal = CircuitContext(neuron=reference_params(), v_read=v_read)
+        nodal = CircuitContext(neuron=reference_params(), v_read=v_read,
+                               nonideal=NonIdealSpec(0.0, 0.0, 0.0))
+        for x in rng.uniform(-1, 1, (n_inputs, widths[0])):
+            a = infer(layers, x, Fidelity.CIRCUIT_IDEAL, ideal)
+            b = infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, nodal)
+            v = x
+            for li, layer in enumerate(layers):
+                # the sum of the column currents' magnitudes, in pre-activation units
+                mag = (layer.g_plus.g + layer.g_minus.g).T @ np.abs(v) / layer.scale
+                pa, pb = a.pre_activations[li], b.pre_activations[li]
+                assert np.all(np.abs(pa - pb) <= 1e-12 * mag)
+                clear = np.abs(pa) > 1e-9 * mag
+                assert np.array_equal(a.bits[li][clear], b.bits[li][clear])
+                if not np.array_equal(a.bits[li], b.bits[li]):
+                    break  # the next layer sees other inputs
+                v = a.bits[li].astype(float) if layer.activation is Activation.THRESHOLD else pa
+            else:
+                # every failure here is an over-bias, and its reason prints the input
+                # current to the last digit, which the two sums can round apart
+                fa, fb = ([(li, j, float(r.split()[2])) for li, j, r in f.failures
+                           if "exceeds main bias" in r] for f in (a, b))
+                assert len(fa) == len(a.failures) and len(fb) == len(b.failures)
+                assert [f[:2] for f in fa] == [f[:2] for f in fb]
+                assert [f[2] for f in fb] == pytest.approx([f[2] for f in fa], rel=1e-12)
+                assert b.crossbar_power == pytest.approx(a.crossbar_power, rel=1e-12)
+
     def test_nonideal_degrades_gracefully(self):
         rng = np.random.default_rng(2)
         specs = self._net(rng)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarsim.neuron import RgcParams, reference_params, solve_dc
-from xbarsim.sar import (calibrate_array, calibration_latency, sar_calibrate,
-                         sar_normalized_converge, sar_normalized_step, sign_plus)
+from xbarsim.neuron import reference_params, solve_dc
+from xbarsim.sar import (sar_calibrate, sar_normalized_converge, sar_normalized_step,
+                         sign_plus)
 
 from oracles import Direction, reference_sar_calibrate
 
@@ -189,98 +189,3 @@ class TestMatchesRegisterReference:
     def test_nbits_must_be_positive(self):
         with pytest.raises(ValueError):
             sar_calibrate(lambda c: c / 16.0, vref=0.3, nbits=0)
-
-
-class TestArrayCalibration:
-    VREF_IN, VREF_OUT = 0.65, 0.95
-
-    def _calibrate(self, neurons, calibrate_output=True):
-        return calibrate_array(neurons, self.VREF_IN, self.VREF_OUT, calibrate_output)
-
-    def test_single_neuron_matches_direct_sar(self):
-        p = reference_params()
-        [rec] = self._calibrate([p], calibrate_output=False)
-        direct = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, 0.65, p.dac.nbits)
-        assert rec.code_in == direct.code
-        assert rec.v_in == pytest.approx(direct.value, abs=1e-12)
-        assert rec.code_out is None
-        assert rec.comparisons == p.dac.nbits
-
-    def test_output_trim_matches_direct_sar(self):
-        p = reference_params()
-        [rec] = self._calibrate([p])
-        ci = sar_calibrate(lambda c: solve_dc(p, 0.0, c).v_in, 0.65, p.dac.nbits).code
-        out = sar_calibrate(lambda c: solve_dc(p, 0.0, ci, out_code=c).v_out, 0.95,
-                            p.dac_out.nbits)
-        assert (rec.code_in, rec.code_out, rec.v_out) == (ci, out.code, out.value)
-        # v_in is the input point re-solved after the output trim
-        assert rec.v_in == solve_dc(p, 0.0, ci, out_code=out.code).v_in
-
-    def test_identical_neurons_identical_codes(self):
-        p = reference_params()
-        recs = self._calibrate([p] * 8)
-        assert len(recs) == 8
-        assert len({(r.code_in, r.code_out) for r in recs}) == 1
-        assert all(r.error is None and r.code_out is not None for r in recs)
-
-    def test_mismatched_array_vs_exhaustive(self):
-        base = reference_params()
-        rng = np.random.default_rng(42)
-        neurons = []
-        for _ in range(8):
-            m2 = base.m2.perturbed(dvt=float(rng.normal(0, 10e-3)),
-                                   dbeta_rel=float(rng.normal(0, 0.02)))
-            neurons.append(base.with_devices(m2=m2))
-        recs = self._calibrate(neurons, calibrate_output=False)
-        for rec, p in zip(recs, neurons):
-
-            def plant(c, p=p):
-                return solve_dc(p, 0.0, c).v_in
-
-            best = exhaustive_best(plant, 0.65, p.dac.nbits)
-            lsb = abs(plant(min(best + 1, 63)) - plant(max(best - 1, 0)))
-            assert abs(plant(rec.code_in) - 0.65) <= abs(plant(best) - 0.65) + lsb
-
-    def test_order_independence(self):
-        base = reference_params()
-        rng = np.random.default_rng(7)
-        neurons = [base.with_devices(m2=base.m2.perturbed(
-            dvt=float(rng.normal(0, 10e-3)), dbeta_rel=0.0)) for _ in range(4)]
-        fwd = self._calibrate(neurons)
-        rev = self._calibrate(list(reversed(neurons)))
-        assert fwd == rev[::-1]
-
-    def test_comparator_eval_budget(self):
-        p = reference_params()
-        recs = self._calibrate([p] * 5)
-        assert [r.comparisons for r in recs] == [p.dac.nbits + p.dac_out.nbits] * 5
-
-    def test_failed_neuron_recorded_others_proceed(self):
-        good = reference_params()
-        bad = RgcParams(**{**good.__dict__, "vb3": 0.0})
-        recs = self._calibrate([good, bad, good])
-        assert recs[1].error is not None
-        assert recs[0].code_in is not None and recs[0].error is None
-        assert recs[2] == recs[0]
-
-
-class TestLatency:
-    def test_example_single_neuron(self):
-        assert calibration_latency(1, 4, 1e-6) == pytest.approx(4e-6)
-
-    def test_example_array(self):
-        # 16 neurons x 6 bits x 200 ns
-        assert calibration_latency(16, 6, 200e-9) == pytest.approx(19.2e-6)
-
-    def test_two_nodes_per_neuron(self):
-        assert calibration_latency(16, 6, 200e-9, nodes_per_neuron=2) == \
-            pytest.approx(38.4e-6)
-
-    def test_zero_neurons(self):
-        assert calibration_latency(0, 6, 1e-6) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            calibration_latency(4, 0, 1e-6)
-        with pytest.raises(ValueError):
-            calibration_latency(4, 6, 0.0)
