@@ -8,7 +8,7 @@ conductances live in crossbar.ConductanceMatrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -41,7 +41,7 @@ class MosParams:
     def perturbed(self, dvt: float, dbeta_rel: float) -> "MosParams":
         """Return a copy with vt shifted and beta scaled (beta kept > 0)."""
         beta = max(self.beta * (1.0 + dbeta_rel), 1e-15)
-        return replace(self, vt=self.vt + dvt, beta=beta)
+        return MosParams(beta, self.vt + dvt, self.lam)
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,18 @@ class MosEval:
         return math.inf if self.gds == 0.0 else 1.0 / self.gds
 
 
+def _square_law(p: MosParams, vgs: float, vds: float) -> tuple[float, Region, float, float]:
+    """(current, region, gm, gds) for vds >= 0; the one copy of the formulas."""
+    vov = vgs - p.vt
+    if vov <= 0.0:
+        return 0.0, Region.CUTOFF, 0.0, 0.0
+    if vds < vov:
+        return (p.beta * (vov * vds - 0.5 * vds * vds), Region.TRIODE,
+                p.beta * vds, p.beta * (vov - vds))
+    return (0.5 * p.beta * vov * vov * (1.0 + p.lam * vds), Region.SATURATION,
+            p.beta * vov * (1.0 + p.lam * vds), 0.5 * p.beta * vov * vov * p.lam)
+
+
 def mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:
     """Evaluate drain current and its analytic partial derivatives.
 
@@ -67,18 +79,7 @@ def mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:
     """
     if vds < 0.0:
         raise ValueError(f"vds must be >= 0, got {vds}")
-    vov = vgs - p.vt
-    if vov <= 0.0:
-        return MosEval(0.0, Region.CUTOFF, 0.0, 0.0)
-    if vds < vov:
-        i = p.beta * (vov * vds - 0.5 * vds * vds)
-        gm = p.beta * vds
-        gds = p.beta * (vov - vds)
-        return MosEval(i, Region.TRIODE, gm, gds)
-    i = 0.5 * p.beta * vov * vov * (1.0 + p.lam * vds)
-    gm = p.beta * vov * (1.0 + p.lam * vds)
-    gds = 0.5 * p.beta * vov * vov * p.lam
-    return MosEval(i, Region.SATURATION, gm, gds)
+    return MosEval(*_square_law(p, vgs, vds))
 
 
 def mos_current_signed(p: MosParams, vgs: float, vds: float) -> tuple[float, float, float]:
@@ -89,8 +90,8 @@ def mos_current_signed(p: MosParams, vgs: float, vds: float) -> tuple[float, flo
     swap: i(vgs, vds) = -i(vgs - vds, -vds).
     """
     if vds >= 0.0:
-        e = mos_eval(p, vgs, vds)
-        return e.current, e.gm, e.gds
-    e = mos_eval(p, vgs - vds, -vds)
+        i, _, gm, gds = _square_law(p, vgs, vds)
+        return i, gm, gds
+    i, _, gm, gds = _square_law(p, vgs - vds, -vds)
     # chain rule through the swap
-    return -e.current, -e.gm, e.gm + e.gds
+    return -i, -gm, gm + gds

@@ -43,12 +43,12 @@ def sample_params(nominal: RgcParams, spec: MismatchSpec,
 
     Draw order is fixed: m1, m2, m3, m5, each (vt, beta).
     """
-    devs = {}
+    devs = []
     for name in ("m1", "m2", "m3", "m5"):
         dvt = rng.normal(0.0, spec.sigma_vt)
         dbeta = rng.normal(0.0, spec.sigma_beta_rel)
-        devs[name] = getattr(nominal, name).perturbed(dvt, dbeta)
-    return nominal.with_devices(**devs)
+        devs.append(getattr(nominal, name).perturbed(dvt, dbeta))
+    return nominal.with_devices(*devs)
 
 
 @dataclass

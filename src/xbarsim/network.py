@@ -275,9 +275,11 @@ def energy_estimate(n_neurons: int, t_eval: float,
     """
     if t_eval < 0:
         raise ValueError("t_eval must be >= 0")
+    if amortize_over < 1:
+        raise ValueError(f"amortize_over must be >= 1, got {amortize_over}")
     e_neurons = n_neurons * p_neuron * t_eval
     e_crossbar = p_crossbar * t_eval
-    e_sar = sar_nodes * sar_nbits * t_sar_step * p_sar / max(amortize_over, 1)
+    e_sar = sar_nodes * sar_nbits * t_sar_step * p_sar / amortize_over
     return EnergyReport(e_crossbar=e_crossbar, e_neurons=e_neurons, e_sar=e_sar,
                         t_eval=t_eval, e_digital_baseline=baseline)
 

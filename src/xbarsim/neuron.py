@@ -25,7 +25,7 @@ what lets the crossbar column sit near virtual ground.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,8 +90,9 @@ class RgcParams:
             raise ValueError("r_load must be > 0")
 
     def with_devices(self, m1=None, m2=None, m3=None, m5=None) -> "RgcParams":
-        return replace(self, m1=m1 or self.m1, m2=m2 or self.m2,
-                       m3=m3 or self.m3, m5=m5 or self.m5)
+        return RgcParams(m1 or self.m1, m2 or self.m2, m3 or self.m3, m5 or self.m5,
+                         self.ib, self.ib2, self.ro_b2, self.vc, self.vdd, self.vb3,
+                         self.r_load, self.dac, self.dac_out)
 
 
 def reference_params() -> RgcParams:
@@ -147,23 +148,23 @@ class SmallSignalReport:
     gm_tuned: float   # tuned effective transconductance of the RGC transconductor
 
 
-def _newton(residual_jac, v0: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Damped Newton: step halving on residual-norm increase."""
-    v = np.asarray(v0, dtype=float)
+def _newton(residual_jac, v: list) -> tuple[list, int, float]:
+    """Damped Newton: step halving on residual-norm increase. Iterates and
+    residuals are lists of Python floats; only the linear step uses numpy."""
     f, jac = residual_jac(v)
-    norm = float(np.max(np.abs(f)))
+    norm = max(map(abs, f))
     for it in range(1, MAX_ITER + 1):
         if norm <= KCL_TOL * 1e-3:
             return v, it - 1, norm
         try:
-            dv = np.linalg.solve(jac, -f)
+            dv = np.linalg.solve(jac, [-x for x in f]).tolist()
         except np.linalg.LinAlgError as e:
             raise SolverError(f"singular Jacobian at iteration {it}") from e
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            v_new = v + t * dv
+            v_new = [x + t * d for x, d in zip(v, dv)]
             f_new, jac_new = residual_jac(v_new)
-            norm_new = float(np.max(np.abs(f_new)))
+            norm_new = max(map(abs, f_new))
             if norm_new < norm or norm_new <= KCL_TOL * 1e-3:
                 break
             t *= 0.5
@@ -206,18 +207,18 @@ def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
         i1, d1g, d1d = mos_current_signed(p.m1, vg - vin, vy - vin)
         i2, d2g, d2d = mos_current_signed(p.m2, vin, vg)
         i3, d3g, d3d = mos_current_signed(p.m3, p.vb3 - vy, vo - vy)
-        f = np.array([
+        f = [
             i_in + i1 - p.ib,
             i_fb + (p.vdd - vg) * g_b2 - i2,
             i3 - i1,
             (p.vdd - vo) * g_l + i_daco - i3,
-        ])
-        jac = np.array([
+        ]
+        jac = [
             [-(d1g + d1d), d1g, d1d, 0.0],
             [-d2g, -g_b2 - d2d, 0.0, 0.0],
             [d1g + d1d, -d1g, -(d3g + d3d) - d1d, d3d],
             [0.0, 0.0, d3g + d3d, -g_l - d3d],
-        ])
+        ]
         return f, jac
 
     # closed-form-flavored initial guess
@@ -226,9 +227,8 @@ def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
     vy0 = max(p.vb3 - p.m3.vt - math.sqrt(2.0 * max(p.ib - i_in, 1e-12) / p.m3.beta),
               vin0 + 0.05)
     vo0 = p.vdd - p.r_load * (p.ib - i_in - i_daco)
-    v, iters, norm = _newton(residual_jac, np.array([vin0, vg0, vy0, vo0]))
+    (vin, vg, vy, vo), iters, norm = _newton(residual_jac, [vin0, vg0, vy0, vo0])
 
-    vin, vg, vy, vo = (float(x) for x in v)
     e1 = mos_eval(p.m1, vg - vin, vy - vin) if vy >= vin else None
     e2 = mos_eval(p.m2, vin, vg) if vg >= 0 else None
     e3 = mos_eval(p.m3, p.vb3 - vy, vo - vy) if vo >= vy else None
@@ -323,14 +323,11 @@ def rout_numeric(p: RgcParams, op: OperatingPoint,
             vy, vo = v
             i1, d1g, d1d = mos_current_signed(p.m1, vg - vin, vy - vin)
             i3, d3g, d3d = mos_current_signed(p.m3, p.vb3 - vy, vo - vy)
-            f = np.array([i3 - i1, i_src + di - i3])
-            jac = np.array([
-                [-(d3g + d3d) - d1d, d3d],
-                [d3g + d3d, -d3d],
-            ])
+            f = [i3 - i1, i_src + di - i3]
+            jac = [[-(d3g + d3d) - d1d, d3d], [d3g + d3d, -d3d]]
             return f, jac
-        v, _, _ = _newton(residual_jac, np.array([op.v_mid, op.v_out]))
-        return float(v[1])
+        (_, vo), _, _ = _newton(residual_jac, [op.v_mid, op.v_out])
+        return vo
 
     return (solve_probe(delta_i) - solve_probe(-delta_i)) / (2.0 * delta_i)
 

@@ -9,6 +9,9 @@ the KCL closed form, so the two can be compared. ``reference_sar_calibrate``
 is the bit-register SAR search that ``sar.sar_calibrate`` replaced with a
 plain MSB-first loop, kept with its direction, comparator offset and
 monotone sweep to check that the two agree call for call.
+``reference_solve_dc`` and ``reference_rout_numeric`` are the numpy-array
+Newton solves that the neuron's Python-float solves replaced, kept to check
+that the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from enum import Enum
 
 import numpy as np
 
+from xbarsim.devices import MosEval, MosParams, Region
 from xbarsim.montecarlo import run_rng, sample_params
-from xbarsim.neuron import SolverError, solve_dc
+from xbarsim.neuron import (KCL_TOL, MAX_HALVINGS, MAX_ITER, OperatingPoint, RgcParams,
+                            SolverError, check_input_current, dac_current, solve_dc)
 from xbarsim.sar import SarResult, sar_calibrate
 
 
@@ -245,3 +250,169 @@ def reference_sar_calibrate(plant, vref, nbits, direction=Direction.INCREASING,
         in_range = not (code == 0 and value < vref_eff) and not (code == full and value > vref_eff)
     return SarResult(code=code, value=value, comparisons=comparisons,
                      in_range=in_range, transcript=transcript)
+
+
+# ---- the array-based neuron solve ---------------------------------------
+# The numpy-array Newton solve that ``neuron.solve_dc`` and
+# ``neuron.rout_numeric`` replaced with Python-float residuals, with the
+# MosEval-building device evaluation it called. Kept unchanged so that the
+# tests can check the two bit for bit: same operating point, iterations and
+# residual, or the same SolverError text.
+
+
+def reference_mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:
+    """Evaluate drain current and its analytic partial derivatives.
+
+    Requires vds >= 0. Subthreshold conduction is zero. The (1+lam*vds)
+    factor applies in saturation only, so with lam > 0 there is a small
+    documented discontinuity at the triode/saturation boundary.
+    """
+    if vds < 0.0:
+        raise ValueError(f"vds must be >= 0, got {vds}")
+    vov = vgs - p.vt
+    if vov <= 0.0:
+        return MosEval(0.0, Region.CUTOFF, 0.0, 0.0)
+    if vds < vov:
+        i = p.beta * (vov * vds - 0.5 * vds * vds)
+        gm = p.beta * vds
+        gds = p.beta * (vov - vds)
+        return MosEval(i, Region.TRIODE, gm, gds)
+    i = 0.5 * p.beta * vov * vov * (1.0 + p.lam * vds)
+    gm = p.beta * vov * (1.0 + p.lam * vds)
+    gds = 0.5 * p.beta * vov * vov * p.lam
+    return MosEval(i, Region.SATURATION, gm, gds)
+
+
+def reference_mos_current_signed(p: MosParams, vgs: float, vds: float) -> tuple[float, float, float]:
+    """Drain current and partials (di/dvgs, di/dvds) valid for either vds sign.
+
+    Used by nonlinear solvers whose Newton iterates may transiently reverse a
+    drain-source pair. Negative vds is handled by the usual source/drain
+    swap: i(vgs, vds) = -i(vgs - vds, -vds).
+    """
+    if vds >= 0.0:
+        e = reference_mos_eval(p, vgs, vds)
+        return e.current, e.gm, e.gds
+    e = reference_mos_eval(p, vgs - vds, -vds)
+    # chain rule through the swap
+    return -e.current, -e.gm, e.gm + e.gds
+
+
+def _reference_newton(residual_jac, v0: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Damped Newton: step halving on residual-norm increase."""
+    v = np.asarray(v0, dtype=float)
+    f, jac = residual_jac(v)
+    norm = float(np.max(np.abs(f)))
+    for it in range(1, MAX_ITER + 1):
+        if norm <= KCL_TOL * 1e-3:
+            return v, it - 1, norm
+        try:
+            dv = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError as e:
+            raise SolverError(f"singular Jacobian at iteration {it}") from e
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            v_new = v + t * dv
+            f_new, jac_new = residual_jac(v_new)
+            norm_new = float(np.max(np.abs(f_new)))
+            if norm_new < norm or norm_new <= KCL_TOL * 1e-3:
+                break
+            t *= 0.5
+        if norm_new >= norm:
+            if norm <= KCL_TOL:
+                return v, it, norm  # converged; damping makes no further progress
+            raise SolverError(f"Newton stalled at iteration {it}: residual {norm:.3e} A")
+        v, f, jac, norm = v_new, f_new, jac_new, norm_new
+    if norm <= KCL_TOL:
+        return v, MAX_ITER, norm
+    raise SolverError(f"Newton did not converge: last residual {norm:.3e} A")
+
+
+def reference_solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
+             out_code: int = 0) -> OperatingPoint:
+    """Solve the neuron's DC operating point by damped Newton iteration.
+
+    Unknowns are (v_in, v_gate1, v_mid, v_out). With lambda = 0 and an
+    ideal I_B2 source the input node has the closed form
+    v_in = vt2 + sqrt(2*(ib2 + i_dac)/beta2), which external oracles use.
+    """
+    i_dac = dac_current(p.dac, code)
+    i_daco = dac_current(p.dac_out, out_code)
+    i_fb = p.ib2 + i_dac
+    if i_fb <= 0.0:
+        raise SolverError("feedback branch current must be > 0")
+    check_input_current(p, i_in)
+    g_b2 = 0.0 if math.isinf(p.ro_b2) else 1.0 / p.ro_b2
+    g_l = 1.0 / p.r_load
+
+    def residual_jac(v):
+        vin, vg, vy, vo = v
+        i1, d1g, d1d = reference_mos_current_signed(p.m1, vg - vin, vy - vin)
+        i2, d2g, d2d = reference_mos_current_signed(p.m2, vin, vg)
+        i3, d3g, d3d = reference_mos_current_signed(p.m3, p.vb3 - vy, vo - vy)
+        f = np.array([
+            i_in + i1 - p.ib,
+            i_fb + (p.vdd - vg) * g_b2 - i2,
+            i3 - i1,
+            (p.vdd - vo) * g_l + i_daco - i3,
+        ])
+        jac = np.array([
+            [-(d1g + d1d), d1g, d1d, 0.0],
+            [-d2g, -g_b2 - d2d, 0.0, 0.0],
+            [d1g + d1d, -d1g, -(d3g + d3d) - d1d, d3d],
+            [0.0, 0.0, d3g + d3d, -g_l - d3d],
+        ])
+        return f, jac
+
+    # closed-form-flavored initial guess
+    vin0 = p.m2.vt + math.sqrt(2.0 * i_fb / p.m2.beta)
+    vg0 = vin0 + p.m1.vt + math.sqrt(2.0 * max(p.ib - i_in, 1e-12) / p.m1.beta)
+    vy0 = max(p.vb3 - p.m3.vt - math.sqrt(2.0 * max(p.ib - i_in, 1e-12) / p.m3.beta),
+              vin0 + 0.05)
+    vo0 = p.vdd - p.r_load * (p.ib - i_in - i_daco)
+    v, iters, norm = _reference_newton(residual_jac, np.array([vin0, vg0, vy0, vo0]))
+
+    vin, vg, vy, vo = (float(x) for x in v)
+    e1 = reference_mos_eval(p.m1, vg - vin, vy - vin) if vy >= vin else None
+    e2 = reference_mos_eval(p.m2, vin, vg) if vg >= 0 else None
+    e3 = reference_mos_eval(p.m3, p.vb3 - vy, vo - vy) if vo >= vy else None
+    if e1 is None or e2 is None or e3 is None:
+        raise SolverError("converged to a reversed drain-source pair; bias infeasible")
+    for name, e in (("m1", e1), ("m2", e2), ("m3", e3)):
+        if e.region is Region.CUTOFF:
+            raise SolverError(f"{name} is in cutoff at the solution (infeasible bias)")
+    return OperatingPoint(
+        v_in=vin, v_gate1=vg, v_mid=vy, v_out=vo,
+        i_stack=e1.current, i_fb=i_fb, i_dac_out=i_daco,
+        m1=e1, m2=e2, m3=e3, iterations=iters, residual=norm,
+        code=code, out_code=out_code,
+    )
+
+
+def reference_rout_numeric(p: RgcParams, op: OperatingPoint,
+                 delta_i: float = 1e-12) -> float:
+    """Cascode output impedance by finite differences.
+
+    The input and feedback nodes are pinned at the solved operating point
+    (the column driver standing in as an ideal source) and a probe current
+    is injected at M3's drain with the resistive load removed, which is the
+    standard way of measuring the impedance looking into the cascode.
+    """
+    vin, vg = op.v_in, op.v_gate1
+    i_src = op.i_stack
+
+    def solve_probe(di):
+        def residual_jac(v):
+            vy, vo = v
+            i1, d1g, d1d = reference_mos_current_signed(p.m1, vg - vin, vy - vin)
+            i3, d3g, d3d = reference_mos_current_signed(p.m3, p.vb3 - vy, vo - vy)
+            f = np.array([i3 - i1, i_src + di - i3])
+            jac = np.array([
+                [-(d3g + d3d) - d1d, d3d],
+                [d3g + d3d, -d3d],
+            ])
+            return f, jac
+        v, _, _ = _reference_newton(residual_jac, np.array([op.v_mid, op.v_out]))
+        return float(v[1])
+
+    return (solve_probe(delta_i) - solve_probe(-delta_i)) / (2.0 * delta_i)

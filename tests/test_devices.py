@@ -1,8 +1,13 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarsim.devices import MosParams, Region, mos_current_signed, mos_eval
+
+from oracles import reference_mos_current_signed, reference_mos_eval
 
 NOM = MosParams(beta=200e-6, vt=0.4, lam=0.0)
 
@@ -115,3 +120,25 @@ def test_params_validation():
         MosParams(beta=1e-3, vt=0.4, lam=-0.1)
     with pytest.raises(ValueError):
         MosParams(beta=1e-3, vt=math.nan)
+
+
+# mos_eval and mos_current_signed share one tuple-returning square-law core;
+# each must give the same bits as the MosEval-building evaluation it replaced
+@settings(max_examples=300, deadline=None)
+@given(beta=st.floats(1e-6, 1e-2), vt=st.floats(-0.5, 1.0), lam=st.floats(0.0, 0.2),
+       vgs=st.floats(-2.0, 5.0), vds=st.floats(-2.0, 5.0))
+def test_square_law_matches_reference(beta, vt, lam, vgs, vds):
+    p = MosParams(beta, vt, lam)
+    assert mos_current_signed(p, vgs, vds) == reference_mos_current_signed(p, vgs, vds)
+    if vds >= 0.0:
+        assert mos_eval(p, vgs, vds) == reference_mos_eval(p, vgs, vds)
+    else:
+        with pytest.raises(ValueError, match="vds must be >= 0"):
+            mos_eval(p, vgs, vds)
+
+
+def test_perturbed_matches_replace():
+    p = MosParams(beta=200e-6, vt=0.4, lam=0.05)
+    q = p.perturbed(0.01, -0.02)
+    assert q == dataclasses.replace(p, vt=p.vt + 0.01, beta=p.beta * (1.0 - 0.02))
+    assert p.perturbed(0.0, -2.0).beta == 1e-15  # clamped, so still valid

@@ -454,6 +454,12 @@ class TestEnergy:
                                 amortize_over=1000)
         assert amort.e_sar == pytest.approx(full.e_sar / 1000, rel=1e-12)
 
+    @pytest.mark.parametrize("amortize_over", [0, -5])
+    def test_amortize_over_below_one_rejected(self, amortize_over):
+        with pytest.raises(ValueError, match=f"amortize_over must be >= 1, got {amortize_over}"):
+            energy_estimate(1, 1e-9, sar_nodes=1, sar_nbits=6, t_sar_step=100e-9,
+                            p_sar=10e-6, amortize_over=amortize_over)
+
     def test_ideal_vs_tellegen_crossbar_power(self):
         from xbarsim.crossbar import (ConductanceMatrix, NonIdealSpec,
                                       output_currents_nonideal,

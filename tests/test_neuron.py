@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,14 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from xbarsim.devices import MosEval, MosParams, Region
-from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
+from xbarsim.montecarlo import MismatchSpec, run_mc, run_rng, sample_params
 from xbarsim.neuron import (KCL_TOL, DacSpec, OperatingPoint, RgcParams,
                             SolverError, dac_current, gain_numeric, gm_tuned,
                             reference_params, rout_numeric, small_signal,
                             solve_dc, transfer_curve, zin_numeric)
 from xbarsim.sar import sar_calibrate
 
-from oracles import bisect
+from oracles import bisect, reference_rout_numeric, reference_solve_dc
 
 
 def lam0_params(**overrides) -> RgcParams:
@@ -129,6 +130,69 @@ class TestDcClosedForm:
         p = reference_params()
         vals = [solve_dc(p, out_code=c).v_out for c in range(0, 64, 8)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestArrayReferenceSolve:
+    """solve_dc and rout_numeric against the numpy-array solves they
+    replaced (tests/oracles.py): the same OperatingPoint, iterations and
+    residual included, or the same SolverError text."""
+
+    @staticmethod
+    def _outcomes(p, i_in, code, out_code):
+        out = []
+        for solve in (solve_dc, reference_solve_dc):
+            try:
+                out.append(solve(p, i_in, code, out_code))
+            except SolverError as e:
+                out.append(f"SolverError: {e}")
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), run=st.integers(0, 10_000),
+           sigma_scale=st.floats(0.0, 3.0), code=st.integers(0, 63),
+           out_code=st.integers(0, 63), i_in=st.floats(-12e-6, 6e-6))
+    @example(seed=1793829076, run=23, sigma_scale=1.0, code=32, out_code=0, i_in=0.0)
+    @example(seed=0, run=0, sigma_scale=0.0, code=20, out_code=0, i_in=-10.7e-6)
+    def test_solve_dc_matches_reference(self, seed, run, sigma_scale, code, out_code, i_in):
+        p = sample_params(reference_params(),
+                          MismatchSpec(10e-3 * sigma_scale, 0.02 * sigma_scale),
+                          run_rng(seed, run))
+        new, ref = self._outcomes(p, i_in, code, out_code)
+        assert new == ref
+
+    def test_known_stall_pinned(self):
+        # run 23 stalls at the SAR's first trial code, at M1's
+        # triode/saturation edge
+        msg = "Newton stalled at iteration 12: residual 1.173e-08 A"
+        p = sample_params(reference_params(), MismatchSpec(), run_rng(1793829076, 23))
+        assert self._outcomes(p, 0.0, 32, 0) == [f"SolverError: {msg}"] * 2
+        res = run_mc(reference_params(), MismatchSpec(), 25, 1793829076, True, 0.65, 6)
+        assert res.failures == [(23, msg)]
+
+    def test_known_singular_jacobian_pinned(self):
+        # no rail on the feedback node: v_gate1 runs far above vdd here
+        msg = "SolverError: singular Jacobian at iteration 3"
+        assert self._outcomes(reference_params(), -10.7e-6, 20, 0) == [msg, msg]
+
+    @pytest.mark.parametrize("run,code,i_in", [(None, 0, 0.0), (None, 20, -2e-6),
+                                               (None, 63, 1e-6), (5, 31, 0.0),
+                                               (17, 12, -4e-6)])
+    def test_rout_numeric_matches_reference(self, run, code, i_in):
+        p = reference_params()
+        if run is not None:
+            p = sample_params(p, MismatchSpec(), run_rng(3, run))
+        op = solve_dc(p, i_in, code)
+        assert op == reference_solve_dc(p, i_in, code)
+        assert rout_numeric(p, op) == reference_rout_numeric(p, op)
+
+    def test_with_devices_keeps_every_other_field(self):
+        p = RgcParams(m1=MosParams(1e-3, 0.3, 0.05), m2=MosParams(2e-4, 0.4, 0.05),
+                      m3=MosParams(1e-3, 0.3, 0.05), m5=MosParams(2e-4, 0.4),
+                      ib=6e-6, ib2=3e-6, ro_b2=1e6, vc=0.3, vdd=1.2, vb3=1.1,
+                      r_load=10e3, dac=DacSpec(0.25e-6, 5), dac_out=DacSpec(0.5e-6, 4))
+        m2 = MosParams(3e-4, 0.45, 0.02)
+        assert p.with_devices(m2=m2) == dataclasses.replace(p, m2=m2)
+        assert p.with_devices() == p
 
 
 class TestSmallSignalFormulas:
