@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, parse_config
+from .config import load_config, parse_config
 from .crossbar import SingularNetworkError
 from .experiments import ExperimentKind, run_experiment
 from .neuron import SolverError
@@ -22,6 +22,15 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
+def _at_least(lo: int):
+    """An argparse type: an integer >= lo, so that a bad value names its flag."""
+    def integer(text: str) -> int:  # argparse reports "invalid integer value"
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+    return integer
+
+
 def _global_flags(suppress_defaults: bool) -> argparse.ArgumentParser:
     # the same flags are accepted before and after the subcommand; the
     # subparser copies use SUPPRESS so they never clobber already-parsed values
@@ -29,11 +38,12 @@ def _global_flags(suppress_defaults: bool) -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False, argument_default=d)
     flags.add_argument("--config", metavar="PATH", help="configuration file (JSON tree "
                        "with engineering-suffix literals); defaults to the reference preset")
-    flags.add_argument("--seed", type=int, metavar="U64", help="override the top-level seed")
+    flags.add_argument("--seed", type=_at_least(0), metavar="U64",
+                       help="override the top-level seed")
     flags.add_argument("--out", metavar="PATH", help="write the report here (default stdout)")
     flags.add_argument("--format", choices=[f.value for f in ReportFormat],
                        help="report format (default: config output.format)")
-    flags.add_argument("--runs", type=int, metavar="N", help="override mc.runs")
+    flags.add_argument("--runs", type=_at_least(2), metavar="N", help="override mc.runs")
     flags.add_argument("--verbose", action="store_true",
                        default=argparse.SUPPRESS if suppress_defaults else False)
     return flags
@@ -58,7 +68,8 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = parse_config("{}")
-    except ConfigError as e:
+    except (ValueError, RecursionError) as e:
+        # a ConfigError, or text json refuses: not UTF-8, too deep, a 4301-digit int
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:
@@ -70,9 +81,6 @@ def main(argv=None) -> int:
     try:
         record = run_experiment(cfg, kind, seed=args.seed, runs=args.runs)
         blob = emit_report(record, fmt)
-    except ConfigError as e:
-        print(f"config error ({kind.value}): {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except UnsupportedFormatError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,7 @@ from pathlib import Path
 from .devices import MosParams
 from .montecarlo import MismatchSpec
 from .network import Activation, Fidelity
-from .neuron import DacSpec, RgcParams
+from .neuron import DacSpec, RgcParams, reference_params
 from .reports import ReportFormat
 
 ENG_SUFFIXES = {
@@ -35,31 +35,47 @@ def parse_engineering(value, key: str = "") -> float:
     """Parse a number or an engineering-suffix string literal to a float."""
     if isinstance(value, bool):
         raise ConfigError(f"{key}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        if value.strip() in ("inf", "Inf", "INF"):
-            return math.inf
-        m = _ENG_RE.match(value)
-        if m:
-            mant, suffix = m.groups()
-            if not suffix:
-                return float(mant)
-            # scale in decimal so "5u" parses to exactly float("5e-6")
-            exp = round(math.log10(ENG_SUFFIXES[suffix]))
-            return float(decimal.Decimal(mant).scaleb(exp))
-        raise ConfigError(
-            f"{key}: cannot parse {value!r} as a number with an optional "
-            f"engineering suffix (one of {''.join(sorted(set(ENG_SUFFIXES)))})")
+    try:
+        if isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, str):
+            if value.strip() in ("inf", "Inf", "INF"):
+                return math.inf
+            m = _ENG_RE.match(value)
+            if m:
+                mant, suffix = m.groups()
+                if not suffix:
+                    return float(mant)
+                # scale in decimal so "5u" parses to exactly float("5e-6")
+                exp = round(math.log10(ENG_SUFFIXES[suffix]))
+                return float(decimal.Decimal(mant).scaleb(exp))
+            raise ConfigError(
+                f"{key}: cannot parse {value!r} as a number with an optional "
+                f"engineering suffix (one of {''.join(sorted(set(ENG_SUFFIXES)))})")
+    except ArithmeticError:  # an integer or exponent past the float range
+        raise ConfigError(f"{key}: number literal beyond the float range") from None
     raise ConfigError(f"{key}: expected a number or suffix literal, got {type(value).__name__}")
 
 
-def _device(beta, vt, lam):
-    return {"beta": ("eng", beta), "vt": ("eng", vt), "lambda": ("eng", lam)}
+# a number leaf's bound, as (message, predicate): NaN fails all, inf all but one
+_FINITE = ("must be finite", math.isfinite)
+_POS = ("must be finite and > 0", lambda v: 0 < v < math.inf)
+_NONNEG = ("must be finite and >= 0", lambda v: 0 <= v < math.inf)
+_POS_OR_INF = ("must be > 0 (inf for an ideal source)", lambda v: v > 0)
 
 
-def _dac():
-    return {"i_unit": ("eng", 0.125e-6), "nbits": ("int", 6)}
+def _within(lo: int, hi: float = math.inf) -> tuple:
+    return (f"must be in [{lo}, {hi}]" if hi < math.inf else f"must be >= {lo}",
+            lambda v: lo <= v <= hi)
+
+
+def _device(m: MosParams) -> dict:
+    return {"beta": ("eng", m.beta, _POS), "vt": ("eng", m.vt, _FINITE),
+            "lambda": ("eng", m.lam, _NONNEG)}
+
+
+def _dac(d: DacSpec) -> dict:
+    return {"i_unit": ("eng", d.i_unit, _POS), "nbits": ("int", d.nbits, _within(1, 24))}
 
 
 def _choice(default: str, allowed) -> tuple:
@@ -74,67 +90,73 @@ _LAYER = {
     "activation": _choice("threshold", Activation),
 }
 
+_NEURON = reference_params()
+# 2**1024 overflows a float: the SAR step 1/2**n, the 2**bits - 1 weight levels
+_EXPONENT = _within(1, 1023)
+
 # the reference preset: every key the frontend understands, with its default
+# and, for a number, the bound it must meet
 _SCHEMA = {
     "preset": _choice("reference", ("reference",)),
     "neuron": {
-        "m1": _device(1e-3, 0.3, 0.05),
-        "m2": _device(200e-6, 0.4, 0.05),
-        "m3": _device(1e-3, 0.3, 0.05),
-        "m5": _device(200e-6, 0.4, 0.0),
-        "ib": ("eng", 5e-6),
-        "ib2": ("eng", 4e-6),
-        "ro_b2": ("eng", 2e6),
-        "vc": ("eng", 0.2),
-        "vdd": ("eng", 1.0),
-        "vb3": ("eng", 1.15),
-        "r_load": ("eng", 20e3),
-        "dac": _dac(),
-        "dac_out": _dac(),
+        "m1": _device(_NEURON.m1),
+        "m2": _device(_NEURON.m2),
+        "m3": _device(_NEURON.m3),
+        "m5": _device(_NEURON.m5),
+        "ib": ("eng", _NEURON.ib, _POS),
+        "ib2": ("eng", _NEURON.ib2, _POS),
+        "ro_b2": ("eng", _NEURON.ro_b2, _POS_OR_INF),
+        "vc": ("eng", _NEURON.vc, _FINITE),
+        "vdd": ("eng", _NEURON.vdd, _POS),
+        "vb3": ("eng", _NEURON.vb3, _FINITE),
+        "r_load": ("eng", _NEURON.r_load, _POS),
+        "dac": _dac(_NEURON.dac),
+        "dac_out": _dac(_NEURON.dac_out),
     },
     "crossbar": {
-        "rows": ("int", 4),
-        "cols": ("int", 4),
-        "g_min": ("eng", 1e-6),
-        "g_max": ("eng", 1e-3),
+        "rows": ("int", 4, _within(1)),
+        "cols": ("int", 4, _within(1)),
+        "g_min": ("eng", 1e-6, _POS),
+        "g_max": ("eng", 1e-3, _POS),
         "csv": ("path_or_null", None),
         "values": ("matrix_or_null", None),
     },
     "sar": {
-        "nbits": ("int", 6),
-        "t_step": ("eng", 1e-6),
-        "vref_in": ("eng", 0.65),
-        "vref_out": ("eng", 0.95),
-        "grid_points": ("int", 2001),
-        "grid_n": ("int", 16),
+        "nbits": ("int", 6, _within(1)),
+        "t_step": ("eng", 1e-6, _POS),
+        "vref_in": ("eng", 0.65, _FINITE),
+        "vref_out": ("eng", 0.95, _FINITE),
+        "grid_points": ("int", 2001, _within(1)),
+        "grid_n": ("int", 16, _EXPONENT),
     },
     "mismatch": {
-        "sigma_vt": ("eng", 10e-3),
-        "sigma_beta_rel": ("eng", 0.02),
+        "sigma_vt": ("eng", MismatchSpec().sigma_vt, _NONNEG),
+        "sigma_beta_rel": ("eng", MismatchSpec().sigma_beta_rel, _NONNEG),
     },
     "mc": {
-        "runs": ("int", 500),
-        "seed": ("int", 1),
+        "runs": ("int", 500, _within(2)),
+        "seed": ("int", 1, _within(0)),
         "calibration": ("bool", True),
     },
     "network": {
-        "bits": ("int", 8),
-        "v_read": ("eng", 0.1),
+        "bits": ("int", 8, _EXPONENT),
+        "v_read": ("eng", 0.1, _POS),
         "fidelity": _choice("circuit_ideal", Fidelity),
-        "g_min": ("eng", 1e-7),
-        "g_max": ("eng", 1e-5),
+        "g_min": ("eng", 1e-7, _POS),
+        "g_max": ("eng", 1e-5, _POS),
         "layers": ("layers_or_null", None),
         "inputs_csv": ("path_or_null", None),
-        "n_inputs": ("int", 20),
+        "n_inputs": ("int", 20, _within(1)),
     },
     "energy": {
-        "t_eval": ("eng", 10e-9),
-        "t_sar_step": ("eng", 100e-9),
-        "p_neuron": ("eng", 43e-6),
-        "p_sar": ("eng", 10e-6),
-        "e_mac": ("eng", 1e-12),
-        "e_act": ("eng", 0.5e-12),
-        "amortize_over": ("int", 1_000_000),
+        "t_eval": ("eng", 10e-9, _NONNEG),
+        "t_sar_step": ("eng", 100e-9, _NONNEG),
+        "p_neuron": ("eng", 43e-6, _NONNEG),
+        "p_sar": ("eng", 10e-6, _NONNEG),
+        "e_mac": ("eng", 1e-12, _NONNEG),
+        "e_act": ("eng", 0.5e-12, _NONNEG),
+        # the SAR energy is divided by it as a float, exact up to 2**53
+        "amortize_over": ("int", 1_000_000, _within(1, 2**53)),
     },
     "output": {
         "path": ("path_out_or_null", None),
@@ -158,17 +180,12 @@ class SimConfig:
         from .reports import canonical_json
         return canonical_json(self.data)
 
-    # ---- typed accessors -------------------------------------------------
-
-    def mos_params(self, role: str) -> MosParams:
-        d = self.data["neuron"][role]
-        return MosParams(beta=d["beta"], vt=d["vt"], lam=d["lambda"])
-
     def neuron_params(self) -> RgcParams:
         n = self.data["neuron"]
+        m1, m2, m3, m5 = (MosParams(n[r]["beta"], n[r]["vt"], n[r]["lambda"])
+                          for r in ("m1", "m2", "m3", "m5"))
         return RgcParams(
-            m1=self.mos_params("m1"), m2=self.mos_params("m2"),
-            m3=self.mos_params("m3"), m5=self.mos_params("m5"),
+            m1=m1, m2=m2, m3=m3, m5=m5,
             ib=n["ib"], ib2=n["ib2"], ro_b2=n["ro_b2"], vc=n["vc"],
             vdd=n["vdd"], vb3=n["vb3"], r_load=n["r_load"],
             dac=DacSpec(n["dac"]["i_unit"], n["dac"]["nbits"]),
@@ -206,81 +223,57 @@ def _validate(node, schema, path: str, prov: dict, base_dir: Path):
             out[key] = value
             continue
         if kind == "eng":
-            out[key] = parse_engineering(value, dotted)
+            value = parse_engineering(value, dotted)
         elif kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{dotted}: expected an integer, got {value!r}")
-            out[key] = value
         elif kind == "bool":
             if not isinstance(value, bool):
                 raise ConfigError(f"{dotted}: expected a boolean, got {value!r}")
-            out[key] = value
         elif kind == "choice":
-            allowed = spec[2]
-            if not isinstance(value, str) or value not in allowed:
+            if not isinstance(value, str) or value not in spec[2]:
                 raise ConfigError(
-                    f"{dotted}: must be one of {', '.join(allowed)}, got {value!r}")
-            out[key] = value
+                    f"{dotted}: must be one of {', '.join(spec[2])}, got {value!r}")
         elif kind in ("path_or_null", "path_out_or_null"):
             if not isinstance(value, str):
                 raise ConfigError(f"{dotted}: expected a path string or null")
             if kind == "path_or_null" and not (base_dir / value).exists():
                 raise ConfigError(
                     f"{dotted}: referenced file {str(base_dir / value)!r} does not exist")
-            out[key] = value
         elif kind == "matrix_or_null":
             if (not isinstance(value, list) or not value
                     or not all(isinstance(r, list) and r for r in value)
                     or len({len(r) for r in value}) != 1):
                 raise ConfigError(f"{dotted}: expected a list of equal-length, non-empty rows")
-            out[key] = [[parse_engineering(v, dotted) for v in row] for row in value]
+            value = [[parse_engineering(v, dotted) for v in row] for row in value]
+            if not all(math.isfinite(v) for row in value for v in row):
+                raise ConfigError(f"{dotted}: entries must be finite")
         elif kind == "layers_or_null":
             if not isinstance(value, list) or not value:
                 raise ConfigError(f"{dotted}: expected a non-empty list of layer objects")
-            out[key] = []
-            for i, layer in enumerate(value):
+            layers, value = value, []
+            for i, layer in enumerate(layers):
                 entry = _validate(layer, _LAYER, f"{dotted}[{i}].", prov, base_dir)
                 if entry["csv"] is None and entry["values"] is None:
                     raise ConfigError(f"{dotted}[{i}]: needs 'csv' or 'values'")
-                out[key].append(entry)
+                value.append(entry)
         else:  # pragma: no cover
             raise AssertionError(f"bad schema kind {kind}")
+        if kind in ("eng", "int") and not spec[2][1](value):
+            raise ConfigError(f"{dotted}: {spec[2][0]}, got {value!r}")
+        out[key] = value
     return out
 
 
 def _check_invariants(data: dict):
-    def require(cond: bool, key: str, what: str):
-        if not cond:
-            raise ConfigError(f"{key}: {what}")
-
-    n = data["neuron"]
-    for role in ("m1", "m2", "m3", "m5"):
-        require(n[role]["beta"] > 0, f"neuron.{role}.beta", "must be > 0")
-        require(n[role]["lambda"] >= 0, f"neuron.{role}.lambda", "must be >= 0")
-    require(n["ib"] > 0, "neuron.ib", "must be > 0")
-    require(n["ib2"] > 0, "neuron.ib2", "must be > 0")
-    require(n["vdd"] > 0, "neuron.vdd", "must be > 0")
-    for d in ("dac", "dac_out"):
-        require(1 <= n[d]["nbits"] <= 24, f"neuron.{d}.nbits", "must be in [1, 24]")
-        require(n[d]["i_unit"] > 0, f"neuron.{d}.i_unit", "must be > 0")
-    c = data["crossbar"]
-    require(c["rows"] >= 1 and c["cols"] >= 1, "crossbar.rows", "dimensions must be >= 1")
-    require(0 < c["g_min"] <= c["g_max"], "crossbar.g_min", "need 0 < g_min <= g_max")
-    require(1 <= data["sar"]["nbits"] <= n["dac"]["nbits"], "sar.nbits",
-            "must be in [1, neuron.dac.nbits]")
-    require(data["sar"]["grid_points"] >= 1, "sar.grid_points", "must be >= 1")
-    require(data["sar"]["grid_n"] >= 1, "sar.grid_n", "must be >= 1")
-    m = data["mismatch"]
-    require(m["sigma_vt"] >= 0 and m["sigma_beta_rel"] >= 0,
-            "mismatch.sigma_vt", "sigmas must be >= 0")
-    net = data["network"]
-    require(net["bits"] >= 1, "network.bits", "must be >= 1")
-    require(net["n_inputs"] >= 1, "network.n_inputs", "must be >= 1")
-    require(net["v_read"] > 0, "network.v_read", "must be > 0")
-    require(0 < net["g_min"] <= net["g_max"], "network.g_min", "need 0 < g_min <= g_max")
-    for key, value in data["energy"].items():
-        require(value >= 0, f"energy.{key}", "must be >= 0")
-    require(data["energy"]["amortize_over"] >= 1, "energy.amortize_over", "must be >= 1")
+    """The rules that tie two keys together; each key's own bound is in _SCHEMA."""
+    for section in ("crossbar", "network"):
+        g_min, g_max = data[section]["g_min"], data[section]["g_max"]
+        if g_min > g_max:
+            raise ConfigError(f"{section}.g_min: must be <= {section}.g_max, "
+                              f"got {g_min!r} > {g_max!r}")
+    if data["sar"]["nbits"] > data["neuron"]["dac"]["nbits"]:
+        raise ConfigError("sar.nbits: must be in [1, neuron.dac.nbits]")
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> SimConfig:

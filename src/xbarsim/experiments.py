@@ -75,8 +75,6 @@ def _load_layers(cfg: SimConfig) -> list[LayerSpec]:
         key = f"network.layers[{i}]"
         if entry["values"] is not None:
             w = np.array(entry["values"], dtype=float)
-            if not np.all(np.isfinite(w)):
-                raise ConfigError(f"{key}.values: weights must be finite")
         else:
             w = _load_csv(cfg, entry["csv"], f"{key}.csv")
         if layers and w.shape[1] != layers[-1].weights.shape[0]:

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbarsim.cli import main
-from xbarsim.config import (ConfigError, load_config, parse_config,
+from xbarsim.config import (_LAYER, _SCHEMA, ConfigError, load_config, parse_config,
                             parse_engineering)
 from xbarsim.experiments import ExperimentKind, _load_csv, run_experiment
+from xbarsim.montecarlo import MismatchSpec
 from xbarsim.network import Activation, Fidelity
+from xbarsim.neuron import reference_params
 from xbarsim.reports import (ReportFormat, UnsupportedFormatError,
                              canonical_json, config_digest, emit_report)
 
@@ -98,6 +100,36 @@ class TestConfigValidation:
         assert cfg1.data == cfg2.data
         assert cfg1.to_json() == cfg2.to_json()
 
+    def test_every_number_leaf_has_a_bound(self):
+        def leaves(schema, path=""):
+            for key, spec in schema.items():
+                if isinstance(spec, dict):
+                    yield from leaves(spec, f"{path}{key}.")
+                elif spec[0] in ("eng", "int"):
+                    yield path + key, spec
+
+        numbers = dict(leaves({**_SCHEMA, "network.layers[i]": _LAYER}))
+        for key, (kind, default, (message, ok)) in numbers.items():
+            assert message.startswith("must ") and ok(default), key
+            assert not ok(math.nan), key
+        assert [k for k, (kind, _, (_, ok)) in numbers.items()
+                if kind == "eng" and ok(math.inf)] == ["neuron.ro_b2"]
+
+    def test_default_is_the_domain_preset(self):
+        cfg = parse_config("{}")
+        assert cfg.neuron_params() == reference_params()
+        assert cfg.mismatch_spec() == MismatchSpec()
+
+    @pytest.mark.parametrize("doc,kind", [
+        ({"sar": {"grid_n": 1023, "grid_points": 5}}, "sar"),
+        ({"network": {"bits": 1023, "n_inputs": 2,
+                      "layers": [{"values": [[1.0, -0.5], [0.25, 0.75]]}]}}, "infer"),
+    ])
+    def test_largest_exponent_runs(self, tmp_path, capsys, doc, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), kind]) == 0
+
     def test_digest_stable_and_sensitive(self):
         a = parse_config("{}")
         b = parse_config('{"neuron": {}}')
@@ -139,6 +171,33 @@ MALFORMED = [
     ({"energy": {"e_act": "-1p"}}, "energy.e_act"),
     ({"energy": {"amortize_over": 0}}, "energy.amortize_over"),
     ({"energy": {"amortize_over": -5}}, "energy.amortize_over"),
+    ({"crossbar": {"cols": 0}}, "crossbar.cols"),
+    ({"mismatch": {"sigma_beta_rel": -1}}, "mismatch.sigma_beta_rel"),
+    ({"neuron": {"r_load": 0}}, "neuron.r_load"),
+    ({"neuron": {"ro_b2": 0}}, "neuron.ro_b2"),
+    ({"neuron": {"m1": {"vt": "inf"}}}, "neuron.m1.vt"),
+    ({"neuron": {"m1": {"beta": "1e400"}}}, "neuron.m1.beta"),
+    ({"sar": {"vref_in": "inf"}}, "sar.vref_in"),
+    ({"mc": {"seed": -1}}, "mc.seed"),
+    ({"neuron": {"ro_b2": math.nan}}, "neuron.ro_b2"),
+    ({"energy": {"amortize_over": 2**53 + 1}}, "energy.amortize_over"),
+    # a config fault, not a Newton failure with a NaN residual (exit 3)
+    ({"neuron": {"vb3": "inf"}}, "neuron.vb3"),
+    ({"neuron": {"vdd": "inf"}}, "neuron.vdd"),
+    ({"neuron": {"ib": "inf"}}, "neuron.ib"),
+    ({"neuron": {"vb3": math.nan}}, "neuron.vb3"),
+    # checked for every kind, not only for the kinds that read them
+    ({"neuron": {"vc": "inf"}}, "neuron.vc"),
+    ({"mc": {"runs": 1}}, "mc.runs"),
+    # 2**1024 and these literals overflow a float
+    ({"network": {"bits": 1024}}, "network.bits"),
+    ({"sar": {"grid_n": 1024}}, "sar.grid_n"),
+    ({"energy": {"amortize_over": 10**400}}, "energy.amortize_over"),
+    ({"neuron": {"ib": 10**400}}, "neuron.ib: number literal beyond the float range"),
+    ({"neuron": {"ib": "1e999999k"}}, "neuron.ib: number literal beyond the float range"),
+    # matrix cells must be finite, checked when the config is parsed
+    ({"network": {"layers": [{"values": [["inf", 2]]}]}}, "network.layers[0].values"),
+    ({"crossbar": {"values": [["1m", math.nan]]}}, "crossbar.values"),
 ]
 
 
@@ -194,8 +253,8 @@ class TestMalformedConfigs:
 BAD_DATA = [
     ({"network": {"layers": [{"values": [[1, 2]]}, {"values": [[1, 2, 3]]}]}}, {},
      "infer", "network.layers[1]"),
-    ({"network": {"layers": [{"values": [["inf", 2]]}]}}, {},
-     "infer", "network.layers[0].values"),
+    ({"network": {"layers": [{"csv": "w.csv"}]}}, {"w.csv": "inf,2\n"},
+     "infer", "network.layers[0].csv: could not read 'inf'"),
     ({"network": {"layers": [{"csv": "w.csv"}]}}, {"w.csv": "x,y\n"},
      "infer", "network.layers[0].csv"),
     ({"network": {"layers": [{"csv": "w.csv"}]}}, {"w.csv": "1,nan\n"},
@@ -442,6 +501,23 @@ class TestCliExitCodes:
         cfg.write_text('{"neuron": {"vb3": 0.0}}')
         assert main(["--config", str(cfg), "op"]) == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [
+        b'{"neuron": {"ib": 1}}\xff', b"[" * 100_000 + b"]" * 100_000,
+        b'{"mc": {"seed": 1' + b"0" * 5000 + b"}}",
+    ], ids=["not-utf8", "nested-too-deep", "5001-digit-integer"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main(["--config", str(bad), "op"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--runs", "1")])
+    def test_bad_flag_names_itself(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as e:
+            main(["mc", flag, value])
+        assert e.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
 
     def test_missing_config_file_is_4(self, capsys):
         assert main(["--config", "/no/such/config.json", "op"]) == 4
