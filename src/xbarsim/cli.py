@@ -7,10 +7,11 @@ Exit codes: 0 success, 2 config error, 3 solver failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-from .config import load_config, parse_config
+from .config import MAX_COUNT, load_config, parse_config
 from .crossbar import SingularNetworkError
 from .experiments import ExperimentKind, run_experiment
 from .neuron import SolverError
@@ -22,12 +23,15 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-def _at_least(lo: int):
-    """An argparse type: an integer >= lo, so that a bad value names its flag."""
-    def integer(text: str) -> int:  # argparse reports "invalid integer value"
-        if int(text) < lo:
+def _int_in(lo: int, hi: float = math.inf):
+    """An argparse type: an integer in [lo, hi], so that a bad value names its flag."""
+    def integer(text: str) -> int:
+        n = int(text)  # a ValueError here: argparse reports "invalid integer value"
+        if n < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
-        return int(text)
+        if n > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {text}")
+        return n
     return integer
 
 
@@ -38,12 +42,13 @@ def _global_flags(suppress_defaults: bool) -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False, argument_default=d)
     flags.add_argument("--config", metavar="PATH", help="configuration file (JSON tree "
                        "with engineering-suffix literals); defaults to the reference preset")
-    flags.add_argument("--seed", type=_at_least(0), metavar="U64",
+    flags.add_argument("--seed", type=_int_in(0), metavar="U64",
                        help="override the top-level seed")
     flags.add_argument("--out", metavar="PATH", help="write the report here (default stdout)")
     flags.add_argument("--format", choices=[f.value for f in ReportFormat],
                        help="report format (default: config output.format)")
-    flags.add_argument("--runs", type=_at_least(2), metavar="N", help="override mc.runs")
+    flags.add_argument("--runs", type=_int_in(2, MAX_COUNT), metavar="N",
+                       help="override mc.runs")
     flags.add_argument("--verbose", action="store_true",
                        default=argparse.SUPPRESS if suppress_defaults else False)
     return flags

@@ -93,6 +93,10 @@ _LAYER = {
 _NEURON = reference_params()
 # 2**1024 overflows a float: the SAR step 1/2**n, the 2**bits - 1 weight levels
 _EXPONENT = _within(1, 1023)
+# the cap on a count that sizes an array or a loop (grid points, network
+# inputs, Monte Carlo runs), so a typo exits 2 instead of exhausting memory
+# or running for days
+MAX_COUNT = 10**6
 
 # the reference preset: every key the frontend understands, with its default
 # and, for a number, the bound it must meet
@@ -126,7 +130,7 @@ _SCHEMA = {
         "t_step": ("eng", 1e-6, _POS),
         "vref_in": ("eng", 0.65, _FINITE),
         "vref_out": ("eng", 0.95, _FINITE),
-        "grid_points": ("int", 2001, _within(1)),
+        "grid_points": ("int", 2001, _within(1, MAX_COUNT)),
         "grid_n": ("int", 16, _EXPONENT),
     },
     "mismatch": {
@@ -134,7 +138,7 @@ _SCHEMA = {
         "sigma_beta_rel": ("eng", MismatchSpec().sigma_beta_rel, _NONNEG),
     },
     "mc": {
-        "runs": ("int", 500, _within(2)),
+        "runs": ("int", 500, _within(2, MAX_COUNT)),
         "seed": ("int", 1, _within(0)),
         "calibration": ("bool", True),
     },
@@ -146,7 +150,7 @@ _SCHEMA = {
         "g_max": ("eng", 1e-5, _POS),
         "layers": ("layers_or_null", None),
         "inputs_csv": ("path_or_null", None),
-        "n_inputs": ("int", 20, _within(1)),
+        "n_inputs": ("int", 20, _within(1, MAX_COUNT)),
     },
     "energy": {
         "t_eval": ("eng", 10e-9, _NONNEG),

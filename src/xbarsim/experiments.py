@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, SimConfig
+from .config import MAX_COUNT, ConfigError, SimConfig
 from .crossbar import ConductanceMatrix
 from .montecarlo import run_mc
 from .network import (Activation, CircuitContext, Fidelity, LayerSpec,
@@ -131,9 +131,10 @@ def run_experiment(cfg: SimConfig, kind: ExperimentKind,
         return ReportRecord("sar", digest, seed, payload)
 
     if kind is ExperimentKind.MC:
+        # the config's mc.runs met this bound when it was parsed
+        if runs is not None and not 2 <= runs <= MAX_COUNT:
+            raise ConfigError(f"runs: must be in [2, {MAX_COUNT}], got {runs!r}")
         n_runs = runs if runs is not None else cfg["mc"]["runs"]
-        if n_runs < 2:
-            raise ConfigError(f"mc.runs: n_runs must be >= 2, got {n_runs}")
         res = run_mc(p, cfg.mismatch_spec(), n_runs, seed,
                      calibrate=cfg["mc"]["calibration"],
                      vref=cfg["sar"]["vref_in"], nbits=cfg["sar"]["nbits"])

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .devices import MosEval, MosParams, Region, mos_current_signed, mos_eval
 
@@ -150,29 +151,42 @@ class SmallSignalReport:
 
 def _newton(residual_jac, v: list) -> tuple[list, int, float]:
     """Damped Newton: step halving on residual-norm increase. Iterates and
-    residuals are lists of Python floats; only the linear step uses numpy."""
+    residuals are lists of Python floats; only the linear step uses numpy.
+
+    The step calls the gufunc that np.linalg.solve dispatches to for a 1-D
+    right-hand side (LAPACK dgesv), under the FP-error policy that solve
+    sets on every call, set once per call here, with a singular matrix
+    raising instead of calling a handler. Same kernel, same float64 inputs,
+    same policy: the iterates are bit-identical to np.linalg.solve's.
+    TestArrayReferenceSolve checks that against the array oracle, so a numpy
+    upgrade that changes the kernel or the policy fails there. The step
+    solves J d = f and subtracts t*d: the pivoting never looks at the
+    right-hand side and round-to-nearest is symmetric under negation, so
+    this is the x + t*dv of J dv = -f to the bit.
+    """
     f, jac = residual_jac(v)
     norm = max(map(abs, f))
-    for it in range(1, MAX_ITER + 1):
-        if norm <= KCL_TOL * 1e-3:
-            return v, it - 1, norm
-        try:
-            dv = np.linalg.solve(jac, [-x for x in f]).tolist()
-        except np.linalg.LinAlgError as e:
-            raise SolverError(f"singular Jacobian at iteration {it}") from e
-        t = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            v_new = [x + t * d for x, d in zip(v, dv)]
-            f_new, jac_new = residual_jac(v_new)
-            norm_new = max(map(abs, f_new))
-            if norm_new < norm or norm_new <= KCL_TOL * 1e-3:
-                break
-            t *= 0.5
-        if norm_new >= norm:
-            if norm <= KCL_TOL:
-                return v, it, norm  # converged; damping makes no further progress
-            raise SolverError(f"Newton stalled at iteration {it}: residual {norm:.3e} A")
-        v, f, jac, norm = v_new, f_new, jac_new, norm_new
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        for it in range(1, MAX_ITER + 1):
+            if norm <= KCL_TOL * 1e-3:
+                return v, it - 1, norm
+            try:
+                d = _solve1(jac, f, signature="dd->d").tolist()
+            except FloatingPointError as e:
+                raise SolverError(f"singular Jacobian at iteration {it}") from e
+            t = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                v_new = [x - t * di for x, di in zip(v, d)]
+                f_new, jac_new = residual_jac(v_new)
+                norm_new = max(map(abs, f_new))
+                if norm_new < norm or norm_new <= KCL_TOL * 1e-3:
+                    break
+                t *= 0.5
+            if norm_new >= norm:
+                if norm <= KCL_TOL:
+                    return v, it, norm  # converged; damping makes no further progress
+                raise SolverError(f"Newton stalled at iteration {it}: residual {norm:.3e} A")
+            v, f, jac, norm = v_new, f_new, jac_new, norm_new
     if norm <= KCL_TOL:
         return v, MAX_ITER, norm
     raise SolverError(f"Newton did not converge: last residual {norm:.3e} A")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarsim import experiments
 from xbarsim.cli import main
 from xbarsim.config import (_LAYER, _SCHEMA, ConfigError, load_config, parse_config,
                             parse_engineering)
@@ -198,7 +199,15 @@ MALFORMED = [
     # matrix cells must be finite, checked when the config is parsed
     ({"network": {"layers": [{"values": [["inf", 2]]}]}}, "network.layers[0].values"),
     ({"crossbar": {"values": [["1m", math.nan]]}}, "crossbar.values"),
+    # counts that size an array or a loop are capped
+    ({"sar": {"grid_points": 2**53 + 1}}, "sar.grid_points"),
+    ({"network": {"n_inputs": 10**30}}, "network.n_inputs"),
+    ({"mc": {"runs": 10**20}}, "mc.runs"),
 ]
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a capped count reached the Monte Carlo loop")
 
 
 class TestMalformedConfigs:
@@ -404,6 +413,14 @@ class TestExperiments:
         with pytest.raises(ConfigError, match="runs"):
             run_experiment(cfg, ExperimentKind.MC, runs=1)
 
+    def test_mc_runs_ceiling(self, monkeypatch):
+        # the argument is named, not mc.runs, which the caller did not set;
+        # an uncapped count would start 10**20 runs
+        monkeypatch.setattr(experiments, "run_mc", _never_called)
+        cfg = load_config(REF)
+        with pytest.raises(ConfigError, match=r"^runs: must be in \[2, 1000000\], got 10"):
+            run_experiment(cfg, ExperimentKind.MC, runs=10**20)
+
     def test_json_round_trip(self):
         cfg = load_config(REF)
         rec = run_experiment(cfg, ExperimentKind.OP)
@@ -518,6 +535,13 @@ class TestCliExitCodes:
             main(["mc", flag, value])
         assert e.value.code == 2
         assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+    def test_runs_flag_is_capped(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "run_mc", _never_called)
+        with pytest.raises(SystemExit) as e:
+            main(["mc", "--runs", str(10**20)])
+        assert e.value.code == 2
+        assert "argument --runs: must be <= 1000000, got 10" in capsys.readouterr().err
 
     def test_missing_config_file_is_4(self, capsys):
         assert main(["--config", "/no/such/config.json", "op"]) == 4

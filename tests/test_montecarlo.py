@@ -10,7 +10,7 @@ from xbarsim.montecarlo import MismatchSpec, run_mc, run_rng, sample_params
 from xbarsim.neuron import SolverError, dac_current, reference_params, solve_dc
 from xbarsim.reports import ReportFormat, emit_report
 
-from oracles import two_pass_std
+from oracles import reference_solve_dc, two_pass_std
 
 NOM = reference_params()
 
@@ -97,6 +97,21 @@ class TestRunMc:
             if res.out_of_range:
                 break
             assert abs(res.v_in_post[i] - res.vref) <= lsb
+
+    @pytest.mark.parametrize("seed,n_runs,failures", [
+        (42, 200, []),
+        (1793829076, 25, [(23, "Newton stalled at iteration 12: residual 1.173e-08 A")]),
+    ])
+    def test_matches_reference_solve(self, monkeypatch, seed, n_runs, failures):
+        # the whole SAR composition, every solve of every run replaced by the
+        # numpy-array oracle: the same bits and the same failure text
+        res = run_mc(NOM, MismatchSpec(), n_runs, seed)
+        monkeypatch.setattr(montecarlo, "solve_dc", reference_solve_dc)
+        ref = run_mc(NOM, MismatchSpec(), n_runs, seed)
+        for name in ("v_in_pre", "v_in_post", "codes", "run_index"):
+            new, old = getattr(res, name), getattr(ref, name)
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), name
+        assert res.failures == ref.failures == failures
 
     def test_uncalibrated_spread_scale(self):
         res = run_mc(NOM, MismatchSpec(), n_runs=200, seed=17, calibrate=False)

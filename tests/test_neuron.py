@@ -174,6 +174,21 @@ class TestArrayReferenceSolve:
         msg = "SolverError: singular Jacobian at iteration 3"
         assert self._outcomes(reference_params(), -10.7e-6, 20, 0) == [msg, msg]
 
+    @pytest.mark.parametrize("state", [{}, {"all": "print"}], ids=["default", "print"])
+    def test_fp_state_does_not_leak(self, state):
+        # the Newton step raises on an invalid LAPACK result inside its own
+        # errstate scope; the caller's FP-error policy is what it was
+        p = reference_params()
+        with np.errstate(**state):
+            before = np.geterr()
+            op = solve_dc(p)
+            assert np.geterr() == before
+            with pytest.raises(SolverError, match="singular Jacobian at iteration 3"):
+                solve_dc(p, -10.7e-6, 20)
+            assert np.geterr() == before
+            rout_numeric(p, op)
+            assert np.geterr() == before
+
     @pytest.mark.parametrize("run,code,i_in", [(None, 0, 0.0), (None, 20, -2e-6),
                                                (None, 63, 1e-6), (5, 31, 0.0),
                                                (17, 12, -4e-6)])
