@@ -3,12 +3,19 @@ full resistive nodal analysis.
 
 The non-ideal solve assembles the complete resistive network (row wire
 segments, cross-point conductances, column wire segments, finite neuron
-input resistances) and solves it by dense direct factorization. Zero-ohm
-wires are handled structurally by node merging: with zero row-wire
-resistance each whole row merges into its driver node, and with zero
-column-wire resistance each whole column merges into its neuron terminal.
-So the all-ideal case has no unknowns and reduces to the matrix-vector
-product.
+input resistances) and solves it by block elimination over groups of
+consecutive crossbar rows: column wires couple only neighbouring groups,
+and the neuron terminals form a border coupled to the last group (or to
+every group when the column wires are ideal), so one forward sweep of
+small dense solves and one solve of the last group with the border cover
+the whole network without forming its n x n matrix. A tile too small to
+fill two groups is one dense solve.
+
+Zero-ohm wires are handled structurally by node merging: with zero
+row-wire resistance each whole row merges into its driver node, and with
+zero column-wire resistance each whole column merges into its neuron
+terminal. So the all-ideal case has no unknowns and reduces to the
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -136,6 +143,58 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
     return G.g.T @ v_rows
 
 
+# Fewest unknowns in one row group of the nodal block solve: a tile whose
+# rows cannot fill two groups is solved as one dense system. Set from a
+# sweep of the solve time over tile shapes (CHANGES.md). 48 and 64 solve
+# the bench's nodal tiles ~20% faster, but they also speed up the 16x8
+# network tile enough that bench/run.py, which keeps every pass, reports
+# infer_nonideal's peak memory at its +10% bound; 96 stays well inside it.
+MIN_GROUP_UNKNOWNS = 96
+
+
+def _eliminate(blocks, b, start, off, p, q, entry) -> np.ndarray:
+    """Solve a symmetric system of row groups by block elimination.
+
+    Group j holds positions start[j]:start[j + 1] of the right-hand side b
+    and its diagonal block flat at blocks[off[j]:off[j + 1]]. Outside the
+    blocks the system has only ``entry`` at (p, q) and (q, p), each p in an
+    earlier group than q, and each group couples to at most one later group,
+    its target. Each group is solved for its coupling columns and b, and its
+    Schur complement updates its target; the last group is solved whole,
+    then every group back-substitutes. blocks and b are overwritten.
+    """
+    n_groups, n = start.size - 1, b.size
+    size = np.diff(start)
+    group = np.searchsorted(start, p, side="right") - 1
+    # group j's coupling C_j has a column for each unknown iface[j] it touches
+    key, col = np.unique(group * n + q, return_inverse=True)
+    first = np.searchsorted(key // n, np.arange(n_groups + 1))
+    width = np.diff(first)
+    coff = np.concatenate([[0], np.cumsum(size * width)])
+    C = np.bincount(coff[group] + (p - start[group]) * width[group] + col - first[group],
+                    entry, minlength=coff[-1])
+    iface = [key[first[j]:first[j + 1]] % n for j in range(n_groups)]
+
+    def block(j):
+        return blocks[off[j]:off[j + 1]].reshape(size[j], size[j])
+
+    sweep = []
+    for j in range(n_groups - 1):
+        cj = C[coff[j]:coff[j + 1]].reshape(size[j], width[j])
+        sol = np.linalg.solve(block(j), np.column_stack([cj, b[start[j]:start[j + 1]]]))
+        sweep.append(sol)
+        if width[j]:
+            t = np.searchsorted(start, iface[j][0], side="right") - 1
+            local = iface[j] - start[t]
+            block(t)[np.ix_(local, local)] -= cj.T @ sol[:, :-1]
+            b[iface[j]] -= cj.T @ sol[:, -1]
+    x = np.empty(n)
+    x[start[-2]:] = np.linalg.solve(block(n_groups - 1), b[start[-2]:])
+    for j in reversed(range(n_groups - 1)):
+        x[start[j]:start[j + 1]] = sweep[j][:, -1] - sweep[j][:, :-1] @ x[iface[j]]
+    return x
+
+
 def _solve_network(G: ConductanceMatrix, x: Excitation, spec: NonIdealSpec) -> NodalSolution:
     rows, cols = G.n_rows, G.n_cols
     r_neuron = spec.neuron_resistances(cols)
@@ -185,27 +244,58 @@ def _solve_network(G: ConductanceMatrix, x: Excitation, spec: NonIdealSpec) -> N
         is_unknown[src] = False
         v[src] = x.values
     unknown = np.flatnonzero(is_unknown)
-    k = np.full(n_nodes, -1)
-    k[unknown] = np.arange(unknown.size)
 
-    # stamp each branch from its near end p; v so far holds only fixed potentials
+    # row groups: runs of consecutive rows holding at least MIN_GROUP_UNKNOWNS
+    # unknowns (every row holds as many), the leftover rows and the neuron
+    # terminals joining the last group. Unknowns are ordered by group, then by
+    # node id, so a single group is the whole system in node-id order.
+    per_row = (not voltage_mode) + cols * ((spec.r_wire_row > 0.0) + (spec.r_wire_col > 0.0))
+    span = -(-MIN_GROUP_UNKNOWNS // per_row) if per_row else rows
+    n_groups = max(rows // span, 1)
+    size = np.array([unknown.size])  # unknowns per group
+    if n_groups > 1:
+        row_of = np.full(n_nodes, rows - 1)
+        row_of[src] = np.arange(rows)
+        row_of[rnode] = row_of[cnode] = np.arange(rows)[:, None]
+        group = np.minimum(row_of[unknown] // span, n_groups - 1)
+        unknown = unknown[np.argsort(group, kind="stable")]
+        size = np.bincount(group, minlength=n_groups)
+    n = unknown.size
+    k = np.full(n_nodes, -1)
+    k[unknown] = np.arange(n)
+    start = np.concatenate([[0], np.cumsum(size)])
+    gid = np.repeat(np.arange(n_groups), size)  # group of each position
+    # each group's block is stored flat from off[j]; entry (p, q) of a group
+    # is at base[p] + q
+    off = np.concatenate([[0], np.cumsum(size * size)])
+    base = off[gid] + (np.arange(n) - start[gid]) * size[gid] - start[gid]
+
+    # stamp each branch from its near end p; v so far holds only fixed
+    # potentials. A branch between two groups couples the earlier one to
+    # its next group (a column wire) or to the last one (merged columns).
     p, q, gpq = np.concatenate([a, c]), np.concatenate([c, a]), np.concatenate([g, g])
-    near, both = k[p] >= 0, (k[p] >= 0) & (k[q] >= 0)
-    A = np.zeros((unknown.size, unknown.size))
-    np.add.at(A, (k[p[near]], k[p[near]]), gpq[near])
-    np.add.at(A, (k[p[both]], k[q[both]]), -gpq[both])
-    b = np.bincount(k[p[near]], gpq[near] * v[q[near]], minlength=unknown.size)
+    kp, kq = k[p], k[q]
+    near, both = kp >= 0, (kp >= 0) & (kq >= 0)
+    kn, kb, qb, gb = kp[near], kp[both], kq[both], gpq[both]
+    inside = gid[kb] == gid[qb]
+    blocks = np.bincount(np.concatenate([base[kn] + kn, base[kb[inside]] + qb[inside]]),
+                         np.concatenate([gpq[near], -gb[inside]]), minlength=off[-1])
+    b = np.bincount(kn, gpq[near] * v[q[near]], minlength=n)
     if not voltage_mode:
         b[k[src]] += x.values
 
-    bad = np.flatnonzero(np.diag(A) == 0.0)
-    if bad.size:
-        node = int(unknown[bad[0]])
+    is_floating = blocks[base + np.arange(n)] == 0.0
+    if np.any(is_floating):
+        node = int(unknown[is_floating].min())
         raise SingularNetworkError(
             f"floating node (supernode {node}) has no conductance to the rest "
             "of the network", node=node)
     try:
-        v[unknown] = np.linalg.solve(A, b)
+        if n_groups == 1:
+            v[unknown] = np.linalg.solve(blocks.reshape(n, n), b)
+        else:
+            fwd = gid[kb] < gid[qb]
+            v[unknown] = _eliminate(blocks, b, start, off, kb[fwd], qb[fwd], -gb[fwd])
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 

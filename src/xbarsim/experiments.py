@@ -47,15 +47,17 @@ def _number(cell: str, key: str, line: int, column: int) -> float:
 
 def _load_csv(cfg: SimConfig, path: str, key: str) -> np.ndarray:
     """A CSV of finite numbers as a 2-D array: comma-separated rows of equal
-    width, no header line. Blank lines and lines starting with '#' are
-    skipped, and '#' ends a row. A fault names the key and the file line,
-    and for a cell its column, both counted from 1."""
+    width, no header line. '#' starts a comment that runs to the end of its
+    line, and a line that is blank without its comment is skipped. A fault
+    names the key and the file line, and for a cell its column, both
+    counted from 1."""
     lines = (Path(cfg.base_dir) / path).read_text(encoding="utf-8").splitlines()
     rows, first = [], 0
     for n, line in enumerate(lines, 1):
-        if not line.strip() or line.startswith("#"):
+        data = line.split("#", 1)[0]
+        if not data.strip():
             continue
-        cells = line.split("#", 1)[0].split(",")
+        cells = data.split(",")
         if rows and len(cells) != len(rows[0]):
             raise ConfigError(f"{key}: line {n} has {len(cells)} values, but line "
                               f"{first} has {len(rows[0])}")

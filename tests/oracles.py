@@ -11,7 +11,8 @@ plain MSB-first loop, kept with its direction, comparator offset and
 monotone sweep to check that the two agree call for call.
 ``reference_solve_dc`` and ``reference_rout_numeric`` are the numpy-array
 Newton solves that the neuron's Python-float solves replaced, kept to check
-that the two agree bit for bit.
+that the two agree bit for bit. ``reference_solve_network`` is the dense
+nodal solve that the crossbar's row-group block elimination replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from enum import Enum
 
 import numpy as np
 
+from xbarsim.crossbar import (ConductanceMatrix, Excitation, ExcitationMode, NodalSolution,
+                              NonIdealSpec, SingularNetworkError)
 from xbarsim.devices import MosEval, MosParams, Region
 from xbarsim.montecarlo import run_rng, sample_params
 from xbarsim.neuron import (KCL_TOL, MAX_HALVINGS, MAX_ITER, OperatingPoint, RgcParams,
@@ -102,6 +105,99 @@ def nodal_oracle_zero_wire(g, v_in, r_neuron):
         v_c = (g[:, j] @ v_in) / (gsum + 1.0 / r_neuron[j])
         out[j] = v_c / r_neuron[j]
     return out
+
+
+def reference_solve_network(G: ConductanceMatrix, x: Excitation,
+                            spec: NonIdealSpec) -> NodalSolution:
+    """The dense nodal solve that the row-group block elimination in
+    ``crossbar._solve_network`` replaced, kept verbatim: it assembles the
+    whole n x n system in node-id order and factors it in one
+    ``np.linalg.solve`` call."""
+    rows, cols = G.n_rows, G.n_cols
+    r_neuron = spec.neuron_resistances(cols)
+    voltage_mode = x.mode is ExcitationMode.VOLTAGE
+    # current sources fix no potential: only a termination at the end of a
+    # column wire ties the array to ground
+    if not voltage_mode and (np.isinf(spec.r_wire_col) or np.all(np.isinf(r_neuron))):
+        raise SingularNetworkError("current-mode network has no path to ground: the "
+                                   "column wires or all neuron terminations are open")
+
+    # node numbering: ground 0, per-row driver nodes, row-side cross-point
+    # nodes, column-side cross-point nodes, neuron terminal nodes
+    src = 1 + np.arange(rows)
+    rnode = (1 + rows + np.arange(rows * cols)).reshape(rows, cols)
+    cnode = rnode + rows * cols
+    term = 1 + rows + 2 * rows * cols + np.arange(cols)
+    n_nodes = term[-1] + 1
+
+    # zero-ohm wires merge a whole row into its driver or a whole column
+    # into its neuron terminal; no other merge is possible with scalar wires
+    rep = np.arange(n_nodes)
+    if spec.r_wire_row == 0.0:
+        rep[rnode] = src[:, None]
+    if spec.r_wire_col == 0.0:
+        rep[cnode] = term[None, :]
+
+    # branch groups (a, c, g); zero-ohm branches are never created, so no
+    # branch lies inside one supernode
+    terminated = r_neuron > 0.0
+    ends = term[terminated]
+    groups = [(rnode, cnode, G.g), (ends, np.zeros_like(ends), 1.0 / r_neuron[terminated])]
+    if spec.r_wire_row > 0.0:  # driver feed, then between adjacent cross-points
+        groups.append((np.column_stack([src, rnode[:, :-1]]), rnode, 1.0 / spec.r_wire_row))
+    if spec.r_wire_col > 0.0:  # between adjacent cross-points, then terminal feed
+        groups.append((cnode, np.vstack([cnode[1:], term]), 1.0 / spec.r_wire_col))
+    a = rep[np.concatenate([np.ravel(ga) for ga, _, _ in groups])]
+    c = rep[np.concatenate([np.ravel(gc) for _, gc, _ in groups])]
+    g = np.concatenate([np.broadcast_to(gg, np.shape(ga)).ravel() for ga, _, gg in groups])
+
+    # fixed potentials: ground, voltage-mode drivers and zero-resistance
+    # neuron terminals (ideal virtual ground); other supernodes are unknown
+    v = np.zeros(n_nodes)
+    is_unknown = rep == np.arange(n_nodes)
+    is_unknown[0] = False
+    is_unknown[term[~terminated]] = False
+    if voltage_mode:
+        is_unknown[src] = False
+        v[src] = x.values
+    unknown = np.flatnonzero(is_unknown)
+    k = np.full(n_nodes, -1)
+    k[unknown] = np.arange(unknown.size)
+
+    # stamp each branch from its near end p; v so far holds only fixed potentials
+    p, q, gpq = np.concatenate([a, c]), np.concatenate([c, a]), np.concatenate([g, g])
+    near, both = k[p] >= 0, (k[p] >= 0) & (k[q] >= 0)
+    A = np.zeros((unknown.size, unknown.size))
+    np.add.at(A, (k[p[near]], k[p[near]]), gpq[near])
+    np.add.at(A, (k[p[both]], k[q[both]]), -gpq[both])
+    b = np.bincount(k[p[near]], gpq[near] * v[q[near]], minlength=unknown.size)
+    if not voltage_mode:
+        b[k[src]] += x.values
+
+    bad = np.flatnonzero(np.diag(A) == 0.0)
+    if bad.size:
+        node = int(unknown[bad[0]])
+        raise SingularNetworkError(
+            f"floating node (supernode {node}) has no conductance to the rest "
+            "of the network", node=node)
+    try:
+        v[unknown] = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as e:
+        raise SingularNetworkError(f"nodal system is singular: {e}") from e
+
+    # branch currents a -> c and each node's net inflow; a neuron's current
+    # flows through its termination, or into its virtual-ground terminal
+    dv = v[a] - v[c]
+    i_b = g * dv
+    inflow = np.bincount(np.concatenate([c, a]), np.concatenate([i_b, -i_b]),
+                         minlength=n_nodes)
+    currents = inflow[term]
+    currents[terminated] = v[ends] / r_neuron[terminated]
+
+    # power bookkeeping (Tellegen): source power vs sum over resistive branches
+    p_src = -x.values @ inflow[src] if voltage_mode else x.values @ v[src]
+    return NodalSolution(neuron_currents=currents, p_source=float(p_src),
+                         p_dissipated=float(i_b @ dv))
 
 
 def bisect(f, lo, hi, tol=1e-15, max_iter=200):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from xbarsim.crossbar import (ConductanceMatrix, NonIdealSpec,
                               dot_product_error, output_currents_ideal,
                               output_currents_nonideal, voltage_excitation)
 
-from oracles import nodal_oracle_currents, nodal_oracle_zero_wire
+from oracles import nodal_oracle_currents, nodal_oracle_zero_wire, reference_solve_network
 
 
 def gmat(values, g_min=1e-6, g_max=5e-3):
@@ -149,6 +151,8 @@ class TestNonIdeal:
 
 
 dims = st.integers(1, 6)
+# up to 40 rows, so that tiles of several row groups are drawn too
+row_dims = st.integers(1, 40)
 seeds = st.integers(0, 2**32 - 1)
 wires = st.floats(0.1, 10.0)
 wires_or_zero = st.one_of(st.just(0.0), wires)
@@ -164,7 +168,7 @@ def random_terminations(rng, cols, zeros):
 
 class TestNodalProperties:
     @settings(max_examples=60, deadline=None)
-    @given(dims, dims, seeds, wires, wires, st.booleans())
+    @given(row_dims, dims, seeds, wires, wires, st.booleans())
     def test_wired_matches_dense_oracle(self, rows, cols, seed, r_row, r_col, zeros):
         rng = np.random.default_rng(seed)
         G = random_gmat(rng, rows, cols)
@@ -177,7 +181,7 @@ class TestNodalProperties:
         assert sol.p_source == pytest.approx(sol.p_dissipated, rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
-    @given(dims, dims, seeds)
+    @given(row_dims, dims, seeds)
     def test_zero_wire_matches_closed_form(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
         G = random_gmat(rng, rows, cols)
@@ -188,7 +192,7 @@ class TestNodalProperties:
             nodal_oracle_zero_wire(G.g, v, r_n), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(dims, dims, seeds, st.sampled_from([voltage_excitation, current_excitation]))
+    @given(row_dims, dims, seeds, st.sampled_from([voltage_excitation, current_excitation]))
     def test_zero_spec_matches_ideal(self, rows, cols, seed, excite):
         rng = np.random.default_rng(seed)
         G = random_gmat(rng, rows, cols)
@@ -197,7 +201,7 @@ class TestNodalProperties:
         assert sol.neuron_currents == pytest.approx(output_currents_ideal(G, x), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(dims, dims, seeds, wires_or_zero, wires_or_zero, st.booleans())
+    @given(row_dims, dims, seeds, wires_or_zero, wires_or_zero, st.booleans())
     def test_current_mode_conserves_charge_and_power(self, rows, cols, seed, r_row, r_col,
                                                      zeros):
         rng = np.random.default_rng(seed)
@@ -224,6 +228,104 @@ class TestNodalProperties:
         G = gmat([[1e-3, 1e-3], [1e-3, 1e-3]])
         with pytest.raises(SingularNetworkError, match="no path to ground"):
             output_currents_nonideal(G, current_excitation([1e-6, 2e-6]), spec)
+
+
+def solve_counted(G, x, spec):
+    """output_currents_nonideal, and how many np.linalg.solve calls it made."""
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        sol = output_currents_nonideal(G, x, spec)
+    return sol, solve.call_count
+
+
+class TestBlockSolve:
+    """The row-group block elimination against the dense solve it replaced."""
+
+    # sampled_from draws rows and columns near-uniformly, so about a quarter
+    # of the examples are tiles of several groups
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(range(1, 41)), st.sampled_from(range(1, 13)), seeds,
+           st.sampled_from([voltage_excitation, current_excitation]),
+           wires_or_zero, wires_or_zero, st.sampled_from([0.0, 0.3]),
+           st.sampled_from([0.0, 0.3]))
+    def test_matches_dense_reference(self, rows, cols, seed, excite, r_row, r_col,
+                                     p_zero, p_open):
+        rng = np.random.default_rng(seed)
+        G = random_gmat(rng, rows, cols)
+        drive = rng.uniform(0, 1, rows) if excite is voltage_excitation else \
+            rng.uniform(1e-6, 1e-5, rows)
+        x = excite(drive)
+        r_n = rng.uniform(10.0, 1e4, cols)
+        u = rng.random(cols)
+        r_n[u < p_zero] = 0.0
+        r_n[u >= 1.0 - p_open] = math.inf
+        spec = NonIdealSpec(r_row, r_col, r_n)
+        try:
+            ref = reference_solve_network(G, x, spec)
+        except SingularNetworkError as e:
+            with pytest.raises(SingularNetworkError) as got:
+                output_currents_nonideal(G, x, spec)
+            assert str(got.value) == str(e) and got.value.node == e.node
+            return
+        sol, solves = solve_counted(G, x, spec)
+        if solves == 1:  # one group: the dense matrix in node-id order
+            assert np.array_equal(sol.neuron_currents, ref.neuron_currents)
+            assert (sol.p_source, sol.p_dissipated) == (ref.p_source, ref.p_dissipated)
+        else:
+            scale = np.max(np.abs(ref.neuron_currents))
+            assert np.max(np.abs(sol.neuron_currents - ref.neuron_currents)) <= 1e-10 * scale
+            assert abs(sol.p_source - sol.p_dissipated) <= \
+                1e-9 * max(abs(sol.p_source), abs(sol.p_dissipated))
+
+    @pytest.mark.parametrize("rows,cols,spec,excite,split", [
+        # the benchmark self-test's tile and the small layer tile of its network
+        (3, 5, NonIdealSpec(1.0, 1.0, 100.0), voltage_excitation, False),
+        (3, 5, NonIdealSpec(1.0, 1.0, 100.0), current_excitation, False),
+        (8, 4, NonIdealSpec(5.0, 5.0, 1e3), voltage_excitation, False),
+        (16, 8, NonIdealSpec(5.0, 5.0, 1e3), voltage_excitation, True),
+        (48, 48, NonIdealSpec(1.0, 1.0, 100.0), voltage_excitation, True),
+    ])
+    def test_only_large_tiles_split(self, rows, cols, spec, excite, split):
+        rng = np.random.default_rng(rows * cols)
+        G = random_gmat(rng, rows, cols)
+        x = excite(rng.uniform(1e-6, 1e-5, rows))
+        sol, solves = solve_counted(G, x, spec)
+        assert (solves > 1) == split
+        if not split:
+            ref = reference_solve_network(G, x, spec)
+            assert np.array_equal(sol.neuron_currents, ref.neuron_currents)
+            assert (sol.p_source, sol.p_dissipated) == (ref.p_source, ref.p_dissipated)
+
+    @pytest.mark.parametrize("spec,excite,message", [
+        (NonIdealSpec(1.0, math.inf, math.inf), voltage_excitation, "floating node"),
+        (NonIdealSpec(math.inf, math.inf, 100.0), voltage_excitation,
+         "nodal system is singular"),
+        (NonIdealSpec(5.0, 5.0, math.inf), current_excitation, "no path to ground"),
+        (NonIdealSpec(5.0, math.inf, 1e3), current_excitation, "no path to ground"),
+    ])
+    def test_errors_match_dense_reference(self, spec, excite, message):
+        rng = np.random.default_rng(13)
+        G = random_gmat(rng, 30, 4)
+        x = excite(rng.uniform(1e-6, 1e-5, 30))
+        # the same tile with finite wires and terminations is several groups
+        assert solve_counted(G, x, NonIdealSpec(5.0, 5.0, 1e3))[1] > 1
+        with pytest.raises(SingularNetworkError, match=message) as want:
+            reference_solve_network(G, x, spec)
+        with pytest.raises(SingularNetworkError) as got:
+            output_currents_nonideal(G, x, spec)
+        assert str(got.value) == str(want.value) and got.value.node == want.value.node
+
+    def test_48x48_forms_no_dense_matrix(self):
+        # the dense solve allocated 173 MB here, its n x n matrix alone
+        rng = np.random.default_rng(48)
+        G = random_gmat(rng, 48, 48)
+        x = voltage_excitation(rng.uniform(0.0, 0.2, 48))
+        tracemalloc.start()
+        try:
+            output_currents_nonideal(G, x, NonIdealSpec(1.0, 1.0, 100.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestErrorMetric:

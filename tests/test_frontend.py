@@ -340,10 +340,28 @@ class TestBadDataFiles:
             run_experiment(inline, ExperimentKind.ENERGY).payload
 
 
+    @pytest.mark.parametrize("section,kind", [("crossbar", "energy"), ("layer", "infer")])
+    def test_indented_comment_lines_are_skipped(self, tmp_path, section, kind):
+        m = [[0.001, 0.0005], [0.0002, 0.0008]]
+        text = ("  # note\n" + ",".join(map(repr, m[0])) + "\n\t# note\n"
+                + ",".join(map(repr, m[1])) + "  # row\n \t #\n")
+
+        def doc(entry):
+            if section == "crossbar":
+                return {"crossbar": entry}
+            return {"network": {"layers": [entry], "n_inputs": 3}}
+
+        from_csv = load_config(self._write(tmp_path, doc({"csv": "m.csv"}), {"m.csv": text}))
+        inline = parse_config(json.dumps(doc({"values": m})))
+        kind = ExperimentKind(kind)
+        assert run_experiment(from_csv, kind).payload == run_experiment(inline, kind).payload
+
+
 def numpy_reader(text: str) -> np.ndarray:
     """The matrix-file reader _load_csv replaced: np.loadtxt over the lines
-    that are not blank, then the finite check. It raises ValueError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    that are not blank once their '#' comment is cut, then the finite check.
+    It raises ValueError."""
+    lines = [ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         m = np.loadtxt(lines, delimiter=",", ndmin=2)
