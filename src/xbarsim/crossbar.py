@@ -8,8 +8,11 @@ consecutive crossbar rows: column wires couple only neighbouring groups,
 and the neuron terminals form a border coupled to the last group (or to
 every group when the column wires are ideal), so one forward sweep of
 small dense solves and one solve of the last group with the border cover
-the whole network without forming its n x n matrix. A tile too small to
-fill two groups is one dense solve.
+the whole network without forming its n x n matrix. The sweep holds one
+group's block at a time, so memory grows with the solutions it keeps for
+back-substitution, about n x (coupling width + 1) doubles, and not with the
+sum of squared group sizes. A tile too small to fill two groups is one
+dense solve.
 
 Zero-ohm wires are handled structurally by node merging: with zero
 row-wire resistance each whole row merges into its driver node, and with
@@ -152,44 +155,61 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
 MIN_GROUP_UNKNOWNS = 96
 
 
-def _eliminate(blocks, b, start, off, p, q, entry) -> np.ndarray:
+def _eliminate(p, q, entry, b, start) -> np.ndarray:
     """Solve a symmetric system of row groups by block elimination.
 
-    Group j holds positions start[j]:start[j + 1] of the right-hand side b
-    and its diagonal block flat at blocks[off[j]:off[j + 1]]. Outside the
-    blocks the system has only ``entry`` at (p, q) and (q, p), each p in an
-    earlier group than q, and each group couples to at most one later group,
-    its target. Each group is solved for its coupling columns and b, and its
-    Schur complement updates its target; the last group is solved whole,
-    then every group back-substitutes. blocks and b are overwritten.
+    Group j holds positions start[j]:start[j + 1] of the right-hand side b.
+    The stamps (p, q, entry) sum, in their order, to the entries of the
+    groups' diagonal blocks and to those at (p, q) with p in an earlier group
+    than q; the rest is their transpose. Each group couples to at most one
+    later group, its target, through its coupling C_j. The sweep stamps a
+    group's block and C_j when it first needs them, as the current group or
+    as a target, solves the group for C_j and b, updates its target with the
+    Schur complement and drops both, keeping only the size_j x (width of C_j
+    + 1) solution that back-substitution reads. The last group is solved
+    whole, then every group back-substitutes. b is overwritten.
     """
     n_groups, n = start.size - 1, b.size
     size = np.diff(start)
     group = np.searchsorted(start, p, side="right") - 1
+    row = p - start[group]
+    ahead = q >= start[group + 1]
     # group j's coupling C_j has a column for each unknown iface[j] it touches
-    key, col = np.unique(group * n + q, return_inverse=True)
+    key, col = np.unique(group[ahead] * n + q[ahead], return_inverse=True)
     first = np.searchsorted(key // n, np.arange(n_groups + 1))
     width = np.diff(first)
-    coff = np.concatenate([[0], np.cumsum(size * width)])
-    C = np.bincount(coff[group] + (p - start[group]) * width[group] + col - first[group],
-                    entry, minlength=coff[-1])
     iface = [key[first[j]:first[j + 1]] % n for j in range(n_groups)]
+    # group j is stamped flat, its block then C_j; a stable sort by group
+    # keeps each entry's stamps in their order
+    at = row * size[group] + q - start[group]
+    ga = group[ahead]
+    at[ahead] = size[ga] ** 2 + row[ahead] * width[ga] + col - first[ga]
+    order = np.argsort(group, kind="stable")
+    at, entry = at[order], entry[order]
+    cut = np.searchsorted(group[order], np.arange(n_groups + 1))
+    del group, row, ahead, ga, order  # only the sorted stamps outlive this
+    flat = [None] * n_groups
 
-    def block(j):
-        return blocks[off[j]:off[j + 1]].reshape(size[j], size[j])
+    def stamped(j):  # group j's block and C_j, stamped when first needed
+        if flat[j] is None:
+            flat[j] = np.bincount(at[cut[j]:cut[j + 1]], entry[cut[j]:cut[j + 1]],
+                                  minlength=size[j] * (size[j] + width[j]))
+        return (flat[j][:size[j] ** 2].reshape(size[j], size[j]),
+                flat[j][size[j] ** 2:].reshape(size[j], width[j]))
 
     sweep = []
     for j in range(n_groups - 1):
-        cj = C[coff[j]:coff[j + 1]].reshape(size[j], width[j])
-        sol = np.linalg.solve(block(j), np.column_stack([cj, b[start[j]:start[j + 1]]]))
+        block, cj = stamped(j)
+        flat[j] = None
+        sol = np.linalg.solve(block, np.column_stack([cj, b[start[j]:start[j + 1]]]))
         sweep.append(sol)
         if width[j]:
             t = np.searchsorted(start, iface[j][0], side="right") - 1
             local = iface[j] - start[t]
-            block(t)[np.ix_(local, local)] -= cj.T @ sol[:, :-1]
+            stamped(t)[0][np.ix_(local, local)] -= cj.T @ sol[:, :-1]
             b[iface[j]] -= cj.T @ sol[:, -1]
     x = np.empty(n)
-    x[start[-2]:] = np.linalg.solve(block(n_groups - 1), b[start[-2]:])
+    x[start[-2]:] = np.linalg.solve(stamped(n_groups - 1)[0], b[start[-2]:])
     for j in reversed(range(n_groups - 1)):
         x[start[j]:start[j + 1]] = sweep[j][:, -1] - sweep[j][:, :-1] @ x[iface[j]]
     return x
@@ -265,37 +285,35 @@ def _solve_network(G: ConductanceMatrix, x: Excitation, spec: NonIdealSpec) -> N
     k[unknown] = np.arange(n)
     start = np.concatenate([[0], np.cumsum(size)])
     gid = np.repeat(np.arange(n_groups), size)  # group of each position
-    # each group's block is stored flat from off[j]; entry (p, q) of a group
-    # is at base[p] + q
-    off = np.concatenate([[0], np.cumsum(size * size)])
-    base = off[gid] + (np.arange(n) - start[gid]) * size[gid] - start[gid]
 
-    # stamp each branch from its near end p; v so far holds only fixed
-    # potentials. A branch between two groups couples the earlier one to
+    # stamp each branch from its near end p, an unknown; v so far holds only
+    # fixed potentials. The stamps then hold positions, q = -1 marking a
+    # known far end. A branch between two groups couples the earlier one to
     # its next group (a column wire) or to the last one (merged columns).
     p, q, gpq = np.concatenate([a, c]), np.concatenate([c, a]), np.concatenate([g, g])
-    kp, kq = k[p], k[q]
-    near, both = kp >= 0, (kp >= 0) & (kq >= 0)
-    kn, kb, qb, gb = kp[near], kp[both], kq[both], gpq[both]
-    inside = gid[kb] == gid[qb]
-    blocks = np.bincount(np.concatenate([base[kn] + kn, base[kb[inside]] + qb[inside]]),
-                         np.concatenate([gpq[near], -gb[inside]]), minlength=off[-1])
-    b = np.bincount(kn, gpq[near] * v[q[near]], minlength=n)
+    near = k[p] >= 0
+    b = np.bincount(k[p[near]], gpq[near] * v[q[near]], minlength=n)
     if not voltage_mode:
         b[k[src]] += x.values
+    p, q, gpq = k[p[near]], k[q[near]], gpq[near]
 
-    is_floating = blocks[base + np.arange(n)] == 0.0
+    diag = np.bincount(p, gpq, minlength=n)
+    is_floating = diag == 0.0
     if np.any(is_floating):
         node = int(unknown[is_floating].min())
         raise SingularNetworkError(
             f"floating node (supernode {node}) has no conductance to the rest "
             "of the network", node=node)
+    # the diagonal, then every off-diagonal entry not below the group blocks
+    upper = (q >= 0) & (gid[p] <= gid[q])
+    p, q, gpq = (np.concatenate([np.arange(n), p[upper]]),
+                 np.concatenate([np.arange(n), q[upper]]), np.concatenate([diag, -gpq[upper]]))
     try:
         if n_groups == 1:
-            v[unknown] = np.linalg.solve(blocks.reshape(n, n), b)
+            v[unknown] = np.linalg.solve(np.bincount(p * n + q, gpq, minlength=n * n)
+                                         .reshape(n, n), b)
         else:
-            fwd = gid[kb] < gid[qb]
-            v[unknown] = _eliminate(blocks, b, start, off, kb[fwd], qb[fwd], -gb[fwd])
+            v[unknown] = _eliminate(p, q, gpq, b, start)
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 

@@ -12,7 +12,8 @@ from xbarsim.crossbar import (ConductanceMatrix, NonIdealSpec,
                               dot_product_error, output_currents_ideal,
                               output_currents_nonideal, voltage_excitation)
 
-from oracles import nodal_oracle_currents, nodal_oracle_zero_wire, reference_solve_network
+from oracles import (nodal_oracle_currents, nodal_oracle_zero_wire, reference_block_solve,
+                     reference_solve_network)
 
 
 def gmat(values, g_min=1e-6, g_max=5e-3):
@@ -237,34 +238,62 @@ def solve_counted(G, x, spec):
     return sol, solve.call_count
 
 
-class TestBlockSolve:
-    """The row-group block elimination against the dense solve it replaced."""
+# sampled_from draws rows and columns near-uniformly, so about a quarter of
+# the tiles are several groups
+@st.composite
+def tiles(draw):
+    """A random tile: voltage or current drive, wires of 0 or finite ohms,
+    and terminations mixing 0, finite and open."""
+    rows, cols = draw(st.sampled_from(range(1, 41))), draw(st.sampled_from(range(1, 13)))
+    rng = np.random.default_rng(draw(seeds))
+    excite = draw(st.sampled_from([voltage_excitation, current_excitation]))
+    r_row, r_col = draw(wires_or_zero), draw(wires_or_zero)
+    p_zero, p_open = draw(st.sampled_from([0.0, 0.3])), draw(st.sampled_from([0.0, 0.3]))
+    G = random_gmat(rng, rows, cols)
+    drive = rng.uniform(0, 1, rows) if excite is voltage_excitation else \
+        rng.uniform(1e-6, 1e-5, rows)
+    r_n = rng.uniform(10.0, 1e4, cols)
+    u = rng.random(cols)
+    r_n[u < p_zero] = 0.0
+    r_n[u >= 1.0 - p_open] = math.inf
+    return G, excite(drive), NonIdealSpec(r_row, r_col, r_n)
 
-    # sampled_from draws rows and columns near-uniformly, so about a quarter
-    # of the examples are tiles of several groups
+
+def reference_or_same_error(reference, G, x, spec):
+    """reference's solution of the tile, or None when reference rejects it;
+    then the package must reject it with the same message and node."""
+    try:
+        return reference(G, x, spec)
+    except SingularNetworkError as e:
+        with pytest.raises(SingularNetworkError) as got:
+            output_currents_nonideal(G, x, spec)
+        assert str(got.value) == str(e) and got.value.node == e.node
+        return None
+
+
+def traced_peak(n):
+    """tracemalloc's peak over one resistive nodal solve of a random n x n tile."""
+    rng = np.random.default_rng(n)
+    G = random_gmat(rng, n, n)
+    x = voltage_excitation(rng.uniform(0.0, 0.2, n))
+    tracemalloc.start()
+    try:
+        output_currents_nonideal(G, x, NonIdealSpec(1.0, 1.0, 100.0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockSolve:
+    """The row-group block elimination against the dense solve it replaced,
+    and its streamed sweep against the sweep that stamped every group first."""
+
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(range(1, 41)), st.sampled_from(range(1, 13)), seeds,
-           st.sampled_from([voltage_excitation, current_excitation]),
-           wires_or_zero, wires_or_zero, st.sampled_from([0.0, 0.3]),
-           st.sampled_from([0.0, 0.3]))
-    def test_matches_dense_reference(self, rows, cols, seed, excite, r_row, r_col,
-                                     p_zero, p_open):
-        rng = np.random.default_rng(seed)
-        G = random_gmat(rng, rows, cols)
-        drive = rng.uniform(0, 1, rows) if excite is voltage_excitation else \
-            rng.uniform(1e-6, 1e-5, rows)
-        x = excite(drive)
-        r_n = rng.uniform(10.0, 1e4, cols)
-        u = rng.random(cols)
-        r_n[u < p_zero] = 0.0
-        r_n[u >= 1.0 - p_open] = math.inf
-        spec = NonIdealSpec(r_row, r_col, r_n)
-        try:
-            ref = reference_solve_network(G, x, spec)
-        except SingularNetworkError as e:
-            with pytest.raises(SingularNetworkError) as got:
-                output_currents_nonideal(G, x, spec)
-            assert str(got.value) == str(e) and got.value.node == e.node
+    @given(tiles())
+    def test_matches_dense_reference(self, tile):
+        G, x, spec = tile
+        ref = reference_or_same_error(reference_solve_network, G, x, spec)
+        if ref is None:
             return
         sol, solves = solve_counted(G, x, spec)
         if solves == 1:  # one group: the dense matrix in node-id order
@@ -275,6 +304,17 @@ class TestBlockSolve:
             assert np.max(np.abs(sol.neuron_currents - ref.neuron_currents)) <= 1e-10 * scale
             assert abs(sol.p_source - sol.p_dissipated) <= \
                 1e-9 * max(abs(sol.p_source), abs(sol.p_dissipated))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tiles())
+    def test_matches_block_reference_bit_for_bit(self, tile):
+        G, x, spec = tile
+        ref = reference_or_same_error(reference_block_solve, G, x, spec)
+        if ref is None:
+            return
+        sol = output_currents_nonideal(G, x, spec)
+        assert np.array_equal(sol.neuron_currents, ref.neuron_currents)
+        assert (sol.p_source, sol.p_dissipated) == (ref.p_source, ref.p_dissipated)
 
     @pytest.mark.parametrize("rows,cols,spec,excite,split", [
         # the benchmark self-test's tile and the small layer tile of its network
@@ -315,17 +355,13 @@ class TestBlockSolve:
         assert str(got.value) == str(want.value) and got.value.node == want.value.node
 
     def test_48x48_forms_no_dense_matrix(self):
-        # the dense solve allocated 173 MB here, its n x n matrix alone
-        rng = np.random.default_rng(48)
-        G = random_gmat(rng, 48, 48)
-        x = voltage_excitation(rng.uniform(0.0, 0.2, 48))
-        tracemalloc.start()
-        try:
-            output_currents_nonideal(G, x, NonIdealSpec(1.0, 1.0, 100.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+        # the dense solve allocated 173 MB here, its n x n matrix alone, and
+        # stamping every group's block before the sweep peaked at 9 MB
+        assert traced_peak(48) < 6e6
+
+    def test_128x128_holds_one_group_block_at_a_time(self):
+        # stamping every group's block before the sweep peaked at 147 MB here
+        assert traced_peak(128) < 64e6
 
 
 class TestErrorMetric:
