@@ -49,8 +49,6 @@ def _global_flags(suppress_defaults: bool) -> argparse.ArgumentParser:
                        help="report format (default: config output.format)")
     flags.add_argument("--runs", type=_int_in(2, MAX_COUNT), metavar="N",
                        help="override mc.runs")
-    flags.add_argument("--verbose", action="store_true",
-                       default=argparse.SUPPRESS if suppress_defaults else False)
     return flags
 
 
@@ -83,9 +81,15 @@ def main(argv=None) -> int:
 
     kind = ExperimentKind(args.command)
     fmt = ReportFormat(args.format or cfg["output"]["format"])
+    out = args.out or cfg["output"]["path"]
     try:
         record = run_experiment(cfg, kind, seed=args.seed, runs=args.runs)
         blob = emit_report(record, fmt)
+        if out:
+            Path(out).write_bytes(blob)
+        else:
+            sys.stdout.buffer.write(blob)
+            sys.stdout.flush()
     except UnsupportedFormatError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -96,19 +100,6 @@ def main(argv=None) -> int:
         # domain-object invariant violations surface as config errors
         print(f"config error ({kind.value}): {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-
-    out = args.out or cfg["output"]["path"]
-    try:
-        if out:
-            Path(out).write_bytes(blob)
-            if args.verbose:
-                print(f"wrote {len(blob)} bytes to {out}", file=sys.stderr)
-        else:
-            sys.stdout.buffer.write(blob)
-            sys.stdout.flush()
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -152,6 +152,9 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
 # the bench's nodal tiles ~20% faster, but they also speed up the 16x8
 # network tile enough that bench/run.py, which keeps every pass, reports
 # infer_nonideal's peak memory at its +10% bound; 96 stays well inside it.
+# The one-group dense solve stays a branch of its own: sent through
+# _eliminate, one-group tiles ran 1.5-1.9x slower (the 8x4 network tile
+# 154 -> 257 us, one BLAS thread, 2 shared vCPUs).
 MIN_GROUP_UNKNOWNS = 96
 
 
@@ -215,7 +218,15 @@ def _eliminate(p, q, entry, b, start) -> np.ndarray:
     return x
 
 
-def _solve_network(G: ConductanceMatrix, x: Excitation, spec: NonIdealSpec) -> NodalSolution:
+def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
+                             spec: NonIdealSpec) -> NodalSolution:
+    """Solve the full resistive network and return the per-neuron currents.
+
+    With an all-zero spec every node merges into a driver or a neuron terminal,
+    so this reproduces the ideal dot product to rounding (no tiny resistors).
+    """
+    if x.values.shape[0] != G.n_rows:
+        raise ValueError(f"excitation length {x.values.shape[0]} != rows {G.n_rows}")
     rows, cols = G.n_rows, G.n_cols
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
@@ -330,18 +341,6 @@ def _solve_network(G: ConductanceMatrix, x: Excitation, spec: NonIdealSpec) -> N
     p_src = -x.values @ inflow[src] if voltage_mode else x.values @ v[src]
     return NodalSolution(neuron_currents=currents, p_source=float(p_src),
                          p_dissipated=float(i_b @ dv))
-
-
-def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
-                             spec: NonIdealSpec) -> NodalSolution:
-    """Solve the full resistive network and return the per-neuron currents.
-
-    With an all-zero spec every node merges into a driver or a neuron terminal,
-    so this reproduces the ideal dot product to rounding (no tiny resistors).
-    """
-    if x.values.shape[0] != G.n_rows:
-        raise ValueError(f"excitation length {x.values.shape[0]} != rows {G.n_rows}")
-    return _solve_network(G, x, spec)
 
 
 def dot_product_error(G: ConductanceMatrix, x: Excitation,

@@ -15,7 +15,7 @@ from .config import MAX_COUNT, ConfigError, SimConfig
 from .crossbar import ConductanceMatrix
 from .montecarlo import run_mc
 from .network import (Activation, CircuitContext, Fidelity, LayerSpec,
-                      crossbar_energy_ideal, digital_baseline, energy_estimate,
+                      crossbar_power_ideal, digital_baseline, energy_estimate,
                       infer, map_weights)
 from .neuron import small_signal, solve_dc
 from .reports import ReportRecord, config_digest
@@ -186,7 +186,7 @@ def run_experiment(cfg: SimConfig, kind: ExperimentKind,
         G = _crossbar(cfg)
         e = cfg["energy"]
         v = np.full(G.n_rows, cfg["network"]["v_read"])
-        p_xbar = crossbar_energy_ideal(G, v, 1.0)  # power = energy at t=1 s
+        p_xbar = crossbar_power_ideal(G, v)
         n_neurons = G.n_cols
         n_mac = G.n_rows * G.n_cols
         baseline = digital_baseline(n_mac, e["e_mac"], n_neurons, e["e_act"])

@@ -194,11 +194,13 @@ def infer(layers, x, fidelity: Fidelity,
                 i_plus, i_minus = sol_p.neuron_currents, sol_m.neuron_currents
                 p_crossbar += sol_p.p_dissipated + sol_m.p_dissipated
             else:
+                # a branch of its own: the zero-spec nodal solve gives the same
+                # bits but cost 44 -> 599 us per input at 16-8-4 and 100 us ->
+                # 8.2 ms at 256-128-10 (one BLAS thread, 2 shared vCPUs)
                 i_plus = output_currents_ideal(layer.g_plus, exc)
                 i_minus = output_currents_ideal(layer.g_minus, exc)
-                vin = v * ctx.v_read
-                p_crossbar += (crossbar_energy_ideal(layer.g_plus, vin, 1.0)
-                               + crossbar_energy_ideal(layer.g_minus, vin, 1.0))
+                p_crossbar += (crossbar_power_ideal(layer.g_plus, exc.values)
+                               + crossbar_power_ideal(layer.g_minus, exc.values))
             i_diff = i_plus - i_minus
             pre = i_diff / (layer.scale * ctx.v_read)
             # Newton leaves v_out within 3*r_load*KCL_TOL of the closed form, so a solved
@@ -252,10 +254,10 @@ class EnergyReport:
         }
 
 
-def crossbar_energy_ideal(G: ConductanceMatrix, voltages, t_eval: float) -> float:
-    """Sum_ij V_i^2 * G_ij * t for a voltage-mode run on ideal wires."""
+def crossbar_power_ideal(G: ConductanceMatrix, voltages) -> float:
+    """Sum_ij V_i^2 * G_ij, the power of a voltage-mode run on ideal wires."""
     v = np.asarray(voltages, dtype=float)
-    return float(v * v @ G.g.sum(axis=1)) * t_eval
+    return float(v * v @ G.g.sum(axis=1))
 
 
 def energy_estimate(n_neurons: int, t_eval: float,
@@ -268,9 +270,9 @@ def energy_estimate(n_neurons: int, t_eval: float,
     """Assemble the per-inference energy record.
 
     p_neuron defaults to the measured prototype's 43 uW at 1 V. p_crossbar
-    is the total dissipated crossbar power during the evaluation (the
-    Sum V^2 G form for ideal runs, the Tellegen-summed dissipation for
-    nodal runs). The one-time SAR calibration energy is amortized over a
+    is the total dissipated crossbar power during the evaluation
+    (crossbar_power_ideal for ideal runs, the Tellegen-summed dissipation
+    for nodal runs). The one-time SAR calibration energy is amortized over a
     configurable inference count.
     """
     if t_eval < 0:

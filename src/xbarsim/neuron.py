@@ -25,7 +25,7 @@ what lets the crossbar column sit near virtual ground.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
@@ -91,9 +91,8 @@ class RgcParams:
             raise ValueError("r_load must be > 0")
 
     def with_devices(self, m1=None, m2=None, m3=None, m5=None) -> "RgcParams":
-        return RgcParams(m1 or self.m1, m2 or self.m2, m3 or self.m3, m5 or self.m5,
-                         self.ib, self.ib2, self.ro_b2, self.vc, self.vdd, self.vb3,
-                         self.r_load, self.dac, self.dac_out)
+        return replace(self, m1=m1 or self.m1, m2=m2 or self.m2, m3=m3 or self.m3,
+                       m5=m5 or self.m5)
 
 
 def reference_params() -> RgcParams:
@@ -285,15 +284,8 @@ def small_signal(p: RgcParams, op: OperatingPoint) -> SmallSignalReport:
         if e.region is not Region.SATURATION:
             raise ValueError(f"small-signal formulas need {name} in saturation, "
                              f"found {e.region.value}")
-    ro2 = op.m2.ro
-    if math.isinf(ro2) and math.isinf(p.ro_b2):
-        r_par = math.inf
-    elif math.isinf(ro2):
-        r_par = p.ro_b2
-    elif math.isinf(p.ro_b2):
-        r_par = ro2
-    else:
-        r_par = ro2 * p.ro_b2 / (ro2 + p.ro_b2)
+    ro2, rb = op.m2.ro, p.ro_b2
+    r_par = rb if math.isinf(ro2) else ro2 if math.isinf(rb) else ro2 * rb / (ro2 + rb)
     a = op.m2.gm * r_par
     zin = 0.0 if math.isinf(a) else 1.0 / (a * op.m1.gm)
     rout = op.m3.gm * op.m3.ro * op.m1.ro

@@ -15,7 +15,10 @@ that the two agree bit for bit. ``reference_solve_network`` is the dense
 nodal solve that the crossbar's row-group block elimination replaced, and
 ``reference_block_solve`` is that elimination as it first landed, with
 every group's block and coupling stamped before the sweep, kept to check
-that the streamed sweep agrees with it bit for bit.
+that the streamed sweep agrees with it bit for bit. ``chain_solve_dc``
+solves the neuron in KCL order, one bracketed scalar root at a time, and
+finds every operating point, so a converged ``solve_dc`` can be checked
+against it; ``kcl_residual`` measures a point's KCL residual.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ def nodal_oracle_zero_wire(g, v_in, r_neuron):
 def reference_solve_network(G: ConductanceMatrix, x: Excitation,
                             spec: NonIdealSpec) -> NodalSolution:
     """The dense nodal solve that the row-group block elimination in
-    ``crossbar._solve_network`` replaced, kept verbatim: it assembles the
+    ``crossbar.output_currents_nonideal`` replaced, kept verbatim: it assembles the
     whole n x n system in node-id order and factors it in one
     ``np.linalg.solve`` call."""
     rows, cols = G.n_rows, G.n_cols
@@ -251,7 +254,7 @@ def reference_block_solve(G: ConductanceMatrix, x: Excitation,
                           spec: NonIdealSpec) -> NodalSolution:
     """The row-group block elimination that stamped every group's block and
     coupling up front, each set in one ``np.bincount``, before the sweep
-    ``crossbar._solve_network`` now streams; kept verbatim."""
+    ``crossbar.output_currents_nonideal`` now streams; kept verbatim."""
     rows, cols = G.n_rows, G.n_cols
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
@@ -682,3 +685,137 @@ def reference_rout_numeric(p: RgcParams, op: OperatingPoint,
         return float(v[1])
 
     return (solve_probe(delta_i) - solve_probe(-delta_i)) / (2.0 * delta_i)
+
+
+# The neuron's DC system solved in KCL order, as a chain of monotone scalar
+# roots. M1 and M3 carry ib - i_in, so the load fixes v_out in closed form
+# and M3 alone fixes v_mid; M2, whose drain is the gate node G, gives
+# v_in = h(v_gate1); M1's current is then one equation in v_gate1, rising on
+# each side of M1's triode/saturation edge, where (1 + lam*vds) makes it
+# jump down. Each root is bracketed and solved by rtsafe. The square law is
+# written out here and shares no code with the package.
+
+
+def _saturation(m: MosParams, vov: float, vds: float) -> tuple[float, float, float]:
+    """Current and its partials by vov and vds."""
+    return (0.5 * m.beta * vov * vov * (1.0 + m.lam * vds),
+            m.beta * vov * (1.0 + m.lam * vds), 0.5 * m.beta * vov * vov * m.lam)
+
+
+def _triode(m: MosParams, vov: float, vds: float) -> tuple[float, float, float]:
+    return m.beta * (vov * vds - 0.5 * vds * vds), m.beta * vds, m.beta * (vov - vds)
+
+
+def rtsafe(f, lo: float, hi: float, max_iter: int = 200) -> float:
+    """Root of an increasing f on [lo, hi] with f(lo) <= 0 <= f(hi); f returns
+    (value, derivative). Newton steps that stay inside the bracket and halve
+    the step, else bisection (Press et al., Numerical Recipes, section 9.4)."""
+    assert f(lo)[0] <= 0.0 <= f(hi)[0], "no sign change on the bracket"
+    x = 0.5 * (lo + hi)
+    step = hi - lo
+    for _ in range(max_iter):
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        newton = x - fx / dfx if dfx > 0.0 else math.nan
+        last, step = step, abs(x - newton)
+        if not (lo < newton < hi and 2.0 * step <= last):
+            newton, step = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        if step <= 1e-15 * max(1.0, abs(x)):
+            return newton
+        x = newton
+    return x
+
+
+def chain_solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
+                   out_code: int = 0) -> list[tuple[float, float, float, float]]:
+    """Every DC operating point (v_in, v_gate1, v_mid, v_out) at which no
+    device is cut off or reversed, in rising v_gate1: none, one, or one on
+    each side of M1's triode edge.
+
+    M2 saturates at every such point: M1 conducts, so
+    v_in - vt2 < v_gate1 - vt1 - vt2 < v_gate1 whenever vt1 + vt2 > 0. So
+    h is M2's saturation law solved for v_in, and a v_gate1 at which that
+    law has no saturated solution, or M1 is off or reversed, leaves M1
+    carrying nothing.
+    """
+    m1, m2, m3 = p.m1, p.m2, p.m3
+    assert m1.vt + m2.vt > 0.0
+    i_s = p.ib - i_in  # through M1 and M3
+    if i_s <= 0.0:
+        return []
+    i_fb = p.ib2 + code * p.dac.i_unit
+    g_b2 = 0.0 if math.isinf(p.ro_b2) else 1.0 / p.ro_b2
+    v_out = p.vdd - p.r_load * (i_s - out_code * p.dac_out.i_unit)
+
+    # M3: its gate is fixed, and vds - vov = v_out - (vb3 - vt3) does not
+    # depend on v_mid, so one law holds on the whole bracket
+    von3 = p.vb3 - m3.vt
+    law3 = _saturation if v_out >= von3 else _triode
+
+    def m3_excess(vy):  # i_s - i3, increasing in v_mid
+        i, d_vov, d_vds = law3(m3, von3 - vy, v_out - vy)
+        return i_s - i, d_vov + d_vds
+
+    y_hi = min(von3, v_out)  # M3 carries nothing at and above it
+    y_lo = y_hi - 1.0
+    while m3_excess(y_lo)[0] > 0.0:
+        y_lo = y_hi - 2.0 * (y_hi - y_lo)
+    vy = rtsafe(m3_excess, y_lo, y_hi)
+
+    def h(vg):  # v_in and dv_in/dv_gate1, or None off M2's saturated range
+        rhs = i_fb + (p.vdd - vg) * g_b2
+        if vg <= 0.0 or rhs <= 0.0:
+            return None
+        u = 1.0 + m2.lam * vg
+        vov = math.sqrt(2.0 * rhs / (m2.beta * u))
+        if vov > vg:
+            return None
+        return m2.vt + vov, (-g_b2 * u - rhs * m2.lam) / (m2.beta * u * u * vov)
+
+    def m1_excess(law):  # i1 - i_s with M1 held in one region
+        def f(vg):
+            vin_dh = h(vg)
+            if vin_dh is None:
+                return -i_s, 0.0
+            vin, dh = vin_dh
+            vov, vds = vg - vin - m1.vt, vy - vin
+            if vov <= 0.0 or vds < 0.0:
+                return -i_s, 0.0
+            i, d_vov, d_vds = law(m1, vov, vds)
+            return i - i_s, d_vov * (1.0 - dh) - d_vds * dh
+        return f
+
+    # M1 saturates for v_gate1 <= vy + vt1; below vt1 + vt2 it is off
+    lo, edge = m1.vt + m2.vt, vy + m1.vt
+    vg_max = math.inf if g_b2 == 0.0 else p.vdd + i_fb / g_b2
+    roots = []
+    sat, tri = m1_excess(_saturation), m1_excess(_triode)
+    if lo < edge < vg_max and sat(edge)[0] >= 0.0:
+        roots.append(rtsafe(sat, lo, edge))
+    start = max(lo, edge)
+    if start < vg_max and tri(start)[0] < 0.0:
+        hi = start + 1.0
+        while tri(hi)[0] < 0.0 and hi < vg_max:
+            hi = start + 2.0 * (hi - start)
+        hi = min(hi, math.nextafter(vg_max, 0.0))
+        if tri(hi)[0] >= 0.0:
+            roots.append(rtsafe(tri, start, hi))
+    return [(h(vg)[0], vg, vy, v_out) for vg in roots]
+
+
+def kcl_residual(p: RgcParams, i_in: float, code: int, out_code: int,
+                 v_in: float, v_gate1: float, v_mid: float, v_out: float) -> float:
+    """Largest KCL residual (A) over the nodes X, G, Y and O."""
+    g_b2 = 0.0 if math.isinf(p.ro_b2) else 1.0 / p.ro_b2
+    i1 = reference_mos_current_signed(p.m1, v_gate1 - v_in, v_mid - v_in)[0]
+    i2 = reference_mos_current_signed(p.m2, v_in, v_gate1)[0]
+    i3 = reference_mos_current_signed(p.m3, p.vb3 - v_mid, v_out - v_mid)[0]
+    return max(abs(i_in + i1 - p.ib),
+               abs(p.ib2 + code * p.dac.i_unit + (p.vdd - v_gate1) * g_b2 - i2),
+               abs(i3 - i1),
+               abs((p.vdd - v_out) / p.r_load + out_code * p.dac_out.i_unit - i3))

@@ -501,6 +501,7 @@ class TestGoldenFiles:
         ("sar", "json", "golden_sar.json"),
         ("energy", "text", "golden_energy.txt"),
         ("mc", "csv", "golden_mc.csv"),
+        ("smallsignal", "json", "golden_smallsignal.json"),
     ])
     def test_cli_reproduces_golden(self, tmp_path, kind, fmt, golden):
         out = tmp_path / golden

@@ -14,7 +14,7 @@ from xbarsim.crossbar import (NonIdealSpec, output_currents_ideal,
 from xbarsim.experiments import ExperimentKind, run_experiment
 from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
 from xbarsim.network import (Activation, CircuitContext, Fidelity, LayerSpec,
-                             crossbar_energy_ideal, dequantize,
+                             crossbar_power_ideal, dequantize,
                              digital_baseline, energy_estimate, infer,
                              map_weights)
 from xbarsim.neuron import KCL_TOL, SolverError, reference_params, solve_dc
@@ -437,7 +437,7 @@ class TestEnergy:
         G = ConductanceMatrix(np.array([[1e-3, 2e-3], [3e-3, 4e-3]]),
                               g_min=1e-6, g_max=5e-3)
         # sum V^2 G = 0.01*3e-3 + 0.04*7e-3 = 3.1e-4 W; 10 ns -> 3.1 pJ
-        e = crossbar_energy_ideal(G, [0.1, 0.2], 10e-9)
+        e = crossbar_power_ideal(G, [0.1, 0.2]) * 10e-9
         assert e == pytest.approx(3.1e-12, rel=1e-12)
 
     def test_additivity_exact(self):
@@ -468,10 +468,10 @@ class TestEnergy:
         g = rng.uniform(1e-6, 1e-3, size=(4, 3))
         G = ConductanceMatrix(g, g_min=1e-6, g_max=1e-3)
         v = rng.uniform(0, 1, 4)
-        e_formula = crossbar_energy_ideal(G, v, 1.0)
+        p_formula = crossbar_power_ideal(G, v)
         sol = output_currents_nonideal(G, voltage_excitation(v),
                                        NonIdealSpec(0, 0, 0))
-        assert sol.p_dissipated == pytest.approx(e_formula, rel=1e-9)
+        assert sol.p_dissipated == pytest.approx(p_formula, rel=1e-9)
 
     def test_digital_baseline_example(self):
         # 64 MACs at 1 pJ + 8 activations at 0.5 pJ = 68 pJ

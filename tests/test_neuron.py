@@ -14,7 +14,8 @@ from xbarsim.neuron import (KCL_TOL, DacSpec, OperatingPoint, RgcParams,
                             solve_dc, transfer_curve, zin_numeric)
 from xbarsim.sar import sar_calibrate
 
-from oracles import bisect, reference_rout_numeric, reference_solve_dc
+from oracles import (bisect, chain_solve_dc, kcl_residual, reference_rout_numeric,
+                     reference_solve_dc)
 
 
 def lam0_params(**overrides) -> RgcParams:
@@ -132,6 +133,41 @@ class TestDcClosedForm:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+class TestKclChainOracle:
+    """solve_dc against the neuron solved in KCL order as a chain of monotone
+    scalar roots (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), run=st.integers(0, 10_000),
+           sigma_scale=st.floats(0.0, 3.0), code=st.integers(0, 63),
+           out_code=st.integers(0, 63), i_in=st.floats(-12e-6, 6e-6))
+    @example(seed=1793829076, run=23, sigma_scale=1.0, code=32, out_code=0, i_in=0.0)
+    @example(seed=0, run=0, sigma_scale=0.0, code=20, out_code=0, i_in=-10.7e-6)
+    def test_converged_solve_is_the_chain_root(self, seed, run, sigma_scale, code,
+                                                out_code, i_in):
+        p = sample_params(reference_params(),
+                          MismatchSpec(10e-3 * sigma_scale, 0.02 * sigma_scale),
+                          run_rng(seed, run))
+        roots = chain_solve_dc(p, i_in, code, out_code)
+        for r in roots:
+            assert kcl_residual(p, i_in, code, out_code, *r) <= KCL_TOL
+        try:
+            op = solve_dc(p, i_in, code, out_code)
+        except SolverError:
+            return
+        got = (op.v_in, op.v_gate1, op.v_mid, op.v_out)
+        assert kcl_residual(p, i_in, code, out_code, *got) <= KCL_TOL
+        # one root: it is that one; two, at M1's triode edge: either
+        assert min(max(abs(a - b) for a, b in zip(got, r)) for r in roots) <= 1e-9
+
+    def test_stall_and_rail_points_have_one_root(self):
+        # solve_dc fails at both; each has exactly one operating point
+        p = sample_params(reference_params(), MismatchSpec(), run_rng(1793829076, 23))
+        assert len(chain_solve_dc(p, 0.0, 32)) == 1
+        (root,) = chain_solve_dc(reference_params(), -10.7e-6, 20)
+        assert root[1] > reference_params().vdd  # v_gate1 above the supply
+
+
 class TestArrayReferenceSolve:
     """solve_dc and rout_numeric against the numpy-array solves they
     replaced (tests/oracles.py): the same OperatingPoint, iterations and
@@ -227,6 +263,15 @@ class TestSmallSignalFormulas:
         ss = small_signal(p, op)
         assert ss.a == pytest.approx(25.0, rel=1e-12)
         assert ss.zin == pytest.approx(400.0, rel=1e-12)
+
+    @pytest.mark.parametrize("ro2,ro_b2,a", [(math.inf, 500e3, 50.0), (500e3, math.inf, 50.0),
+                                             (math.inf, math.inf, math.inf)])
+    def test_gain_with_ideal_branches(self, ro2, ro_b2, a):
+        # a = gm2 * (ro2 || ro_b2), an infinite resistance dropping out
+        op = self._op(gm1=100e-6, gm2=100e-6, ro2=ro2, gm3=100e-6, ro3=500e3, ro1=500e3)
+        ss = small_signal(lam0_params(ro_b2=ro_b2), op)
+        assert ss.a == pytest.approx(a, rel=1e-12)
+        assert ss.zin == (0.0 if math.isinf(a) else pytest.approx(1.0 / (a * 100e-6), rel=1e-12))
 
     def test_rout_arithmetic(self):
         p = lam0_params(ro_b2=500e3)
