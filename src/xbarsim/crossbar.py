@@ -3,16 +3,16 @@ full resistive nodal analysis.
 
 The non-ideal solve assembles the complete resistive network (row wire
 segments, cross-point conductances, column wire segments, finite neuron
-input resistances) and solves it by block elimination over groups of
-consecutive crossbar rows: column wires couple only neighbouring groups,
-and the neuron terminals form a border coupled to the last group (or to
-every group when the column wires are ideal), so one forward sweep of
-small dense solves and one solve of the last group with the border cover
-the whole network without forming its n x n matrix. The sweep holds one
-group's block at a time, so memory grows with the solutions it keeps for
-back-substitution, about n x (coupling width + 1) doubles, and not with the
-sum of squared group sizes. A tile too small to fill two groups is one
-dense solve.
+input resistances). A tile too small to fill two groups of consecutive
+rows is one dense solve. A larger one is solved in two layers. First,
+each crossbar row's chain (its driver node in current mode, then its row
+wire) is tridiagonal and touches only that row's column-side nodes, so one
+Thomas sweep over chain positions, across all rows, condenses it to a
+dense cols x cols block on them. Then the column side alone is solved by
+block elimination over the row groups: the column wires couple only
+neighbouring groups, and the neuron terminals border the last. Live in
+memory are one chunk of condensed rows (a few MB at most) and the sweep
+solutions kept for back-substitution, rows x cols x (cols + 1) doubles.
 
 Zero-ohm wires are handled structurally by node merging: with zero
 row-wire resistance each whole row merges into its driver node, and with
@@ -146,76 +146,127 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
     return G.g.T @ v_rows
 
 
-# Fewest unknowns in one row group of the nodal block solve: a tile whose
-# rows cannot fill two groups is solved as one dense system. Set from a
-# sweep of the solve time over tile shapes (CHANGES.md). 48 and 64 solve
-# the bench's nodal tiles ~20% faster, but they also speed up the 16x8
-# network tile enough that bench/run.py, which keeps every pass, reports
-# infer_nonideal's peak memory at its +10% bound; 96 stays well inside it.
-# The one-group dense solve stays a branch of its own: sent through
-# _eliminate, one-group tiles ran 1.5-1.9x slower (the 8x4 network tile
-# 154 -> 257 us, one BLAS thread, 2 shared vCPUs).
+# Fewest unknowns in one row group, counting both wire layers; a tile whose
+# rows cannot fill two groups is one dense solve, which there ran 1.8-2.4x
+# faster than the two-layer solve (8x4 network tile). From a sweep of the
+# solve time over tile shapes (CHANGES.md): 48 and 64 were ~20% faster on
+# the bench's tiles, but they speed up the 16x8 network tile too, and
+# bench/run.py keeps every pass, so infer_nonideal's peak memory reached its
+# +10% bound. At 96 the two-layer solve spends ~8% of it (CHANGES.md).
 MIN_GROUP_UNKNOWNS = 96
 
 
-def _eliminate(p, q, entry, b, start) -> np.ndarray:
-    """Solve a symmetric system of row groups by block elimination.
-
-    Group j holds positions start[j]:start[j + 1] of the right-hand side b.
-    The stamps (p, q, entry) sum, in their order, to the entries of the
-    groups' diagonal blocks and to those at (p, q) with p in an earlier group
-    than q; the rest is their transpose. Each group couples to at most one
-    later group, its target, through its coupling C_j. The sweep stamps a
-    group's block and C_j when it first needs them, as the current group or
-    as a target, solves the group for C_j and b, updates its target with the
-    Schur complement and drops both, keeping only the size_j x (width of C_j
-    + 1) solution that back-substitution reads. The last group is solved
-    whole, then every group back-substitutes. b is overwritten.
-    """
-    n_groups, n = start.size - 1, b.size
-    size = np.diff(start)
-    group = np.searchsorted(start, p, side="right") - 1
-    row = p - start[group]
-    ahead = q >= start[group + 1]
-    # group j's coupling C_j has a column for each unknown iface[j] it touches
-    key, col = np.unique(group[ahead] * n + q[ahead], return_inverse=True)
-    first = np.searchsorted(key // n, np.arange(n_groups + 1))
-    width = np.diff(first)
-    iface = [key[first[j]:first[j + 1]] % n for j in range(n_groups)]
-    # group j is stamped flat, its block then C_j; a stable sort by group
-    # keeps each entry's stamps in their order
-    at = row * size[group] + q - start[group]
-    ga = group[ahead]
-    at[ahead] = size[ga] ** 2 + row[ahead] * width[ga] + col - first[ga]
-    order = np.argsort(group, kind="stable")
-    at, entry = at[order], entry[order]
-    cut = np.searchsorted(group[order], np.arange(n_groups + 1))
-    del group, row, ahead, ga, order  # only the sorted stamps outlive this
-    flat = [None] * n_groups
-
-    def stamped(j):  # group j's block and C_j, stamped when first needed
-        if flat[j] is None:
-            flat[j] = np.bincount(at[cut[j]:cut[j + 1]], entry[cut[j]:cut[j + 1]],
-                                  minlength=size[j] * (size[j] + width[j]))
-        return (flat[j][:size[j] ** 2].reshape(size[j], size[j]),
-                flat[j][size[j] ** 2:].reshape(size[j], width[j]))
-
-    sweep = []
-    for j in range(n_groups - 1):
-        block, cj = stamped(j)
-        flat[j] = None
-        sol = np.linalg.solve(block, np.column_stack([cj, b[start[j]:start[j + 1]]]))
-        sweep.append(sol)
-        if width[j]:
-            t = np.searchsorted(start, iface[j][0], side="right") - 1
-            local = iface[j] - start[t]
-            stamped(t)[0][np.ix_(local, local)] -= cj.T @ sol[:, :-1]
-            b[iface[j]] -= cj.T @ sol[:, -1]
-    x = np.empty(n)
-    x[start[-2]:] = np.linalg.solve(stamped(n_groups - 1)[0], b[start[-2]:])
-    for j in reversed(range(n_groups - 1)):
-        x[start[j]:start[j + 1]] = sweep[j][:, -1] - sweep[j][:, :-1] @ x[iface[j]]
+def _chain_solve(m, piv, w, x):
+    """Solve Thomas-factored tridiagonal chains (multipliers m, pivots piv,
+    links -w) in place for the right-hand sides x[t] at each position t."""
+    for t in range(1, len(x)):
+        x[t] += m[t, :, None] * x[t - 1]
+    x[-1] /= piv[-1, :, None]
+    for t in range(len(x) - 2, -1, -1):
+        x[t] += w * x[t + 1]
+        x[t] /= piv[t, :, None]
     return x
+
+
+def _two_layer(g, drive, voltage_mode, r_row, r_col, r_neuron, span, n_groups):
+    """Solve a tile of several row groups in two layers (module docstring).
+
+    Chain position pos[j] ties to column j through g[i, j]. Condensing row
+    i's chain T_i leaves diag(g_i) - g_i T_i^-1 g_i on its column side, fed
+    by g_i T_i^-1 e_0 per unit of drive. That block's diagonal is summed
+    from its row sums (the conductance to a voltage driver, or 0), which has
+    no cancellation, so charge is conserved to rounding. With ideal column
+    wires the column side is the free terminals alone. Returns the chain
+    voltages (L x rows), the column-side voltages (rows x cols) and the
+    terminal voltages (0 where grounded).
+    """
+    rows, cols = g.shape
+    if r_row > 0.0:
+        w_r, L = 1.0 / r_row, cols + (not voltage_mode)
+        pos = np.arange(cols) + (not voltage_mode)
+        d = np.full((L, rows), 2 * w_r)
+        d[-1] = w_r  # the row wire's far end, and a driver, link one way only
+        if not voltage_mode:
+            d[0] = w_r
+        d[pos] += g.T
+    else:  # a driver with its ideal row wire, unless the driver is fixed
+        w_r, L, pos, d = 0.0, int(not voltage_mode), np.zeros(cols, int), g.sum(1)[None]
+    m, piv = np.zeros_like(d), d.copy()  # Thomas factors; each diagonal exceeds
+    for t in range(1, L):                 # its links, so every pivot is positive
+        m[t] = w_r / piv[t - 1]
+        piv[t] -= m[t] * w_r
+    unit = w_r if voltage_mode and L else 1.0  # what a unit drive sends into position 0
+    bounds = np.append(np.arange(n_groups) * span, rows)  # group j: rows bounds[j]:bounds[j + 1]
+    per_chunk = max(1, (1 << 18) // (span * (cols + 1)) ** 2)
+    diag = np.arange(cols)
+
+    def condensed():  # each group's row blocks (n x cols x cols) and drives (n x cols)
+        for j in range(n_groups):
+            if j % per_chunk == 0:
+                r0, r1 = bounds[j], bounds[min(j + per_chunk, n_groups)]
+                if L:
+                    y = np.zeros((L, r1 - r0, cols + 1))
+                    y[pos, :, diag] = g[r0:r1].T
+                    y[0, :, -1] = unit
+                    _chain_solve(m[:, r0:r1], piv[:, r0:r1], w_r, y)
+                    y = g[r0:r1, :, None] * y[pos].transpose(1, 0, 2)
+                else:  # fixed drivers feed the column side directly
+                    y = np.zeros((r1 - r0, cols, cols + 1))
+                    y[:, :, -1] = g[r0:r1]
+                y[:, diag, diag] = 0.0
+                block = -y[:, :, :-1]
+                block[:, diag, diag] = y[:, :, :-1].sum(2) + (y[:, :, -1] if voltage_mode else 0.0)
+                fed = y[:, :, -1] * drive[r0:r1, None]
+            yield block[bounds[j] - r0:bounds[j + 1] - r0], fed[bounds[j] - r0:bounds[j + 1] - r0]
+
+    ends = np.flatnonzero(r_neuron > 0.0)  # the free terminals
+    g_term = 1.0 / r_neuron[ends]
+    v_term = np.zeros(cols)
+    if r_col == 0.0:
+        a, b = np.zeros((cols, cols)), np.zeros(cols)
+        for block, fed in condensed():
+            a += block.sum(0)
+            b += fed.sum(0)
+        a[ends, ends] += g_term
+        v_term[ends] = np.linalg.solve(a[np.ix_(ends, ends)], b[ends])
+        v_col = np.broadcast_to(v_term, (rows, cols))
+    else:
+        w_c = 1.0 / r_col
+        sweep = []
+        for j, (block, fed) in enumerate(condensed()):
+            n, last = block.size // cols, j == n_groups - 1
+            a = np.zeros((n + ends.size * last,) * 2)
+            b = np.zeros((len(a), 1 if last else cols + 1))
+            at = np.arange(len(block))[:, None, None] * cols + diag[:, None]
+            a[at, at.transpose(0, 2, 1)] = block
+            at = np.arange(n)  # the top row's column wires link down only
+            a[at, at] += np.where(bounds[j] * cols + at < cols, w_c, 2 * w_c)
+            a[at[:-cols], at[cols:]] = a[at[cols:], at[:-cols]] = -w_c
+            b[:n, -1] = fed.ravel()
+            if j:  # Schur update from the group above
+                a[:cols, :cols] -= w_c * sweep[-1][-cols:, :-1]
+                b[:cols, -1] += w_c * sweep[-1][-cols:, -1]
+            if last:  # the free terminals border the last row
+                at = n + np.arange(ends.size)
+                a[at, at] = w_c + g_term
+                a[at, n - cols + ends] = a[n - cols + ends, at] = -w_c
+            else:  # solved for the coupling w_c to the next group's first row
+                b[n - cols + diag, diag] = w_c
+            sweep.append(np.linalg.solve(a, b))
+        out = np.empty(rows * cols + ends.size)
+        out[bounds[-2] * cols:] = sweep.pop()[:, 0]
+        for j in reversed(range(n_groups - 1)):
+            s = sweep.pop()
+            out[bounds[j] * cols:bounds[j + 1] * cols] = \
+                s[:, -1] + s[:, :-1] @ out[bounds[j + 1] * cols:][:cols]
+        v_col = out[:rows * cols].reshape(rows, cols)
+        v_term[ends] = out[rows * cols:]
+    if not L:
+        return np.zeros((0, rows)), v_col, v_term
+    x = np.zeros((L, rows, 1))
+    x[0, :, 0] = unit * drive
+    np.add.at(x[:, :, 0], pos, (g * v_col).T)
+    return _chain_solve(m, piv, w_r, x)[:, :, 0], v_col, v_term
 
 
 def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
@@ -277,30 +328,17 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
     unknown = np.flatnonzero(is_unknown)
 
     # row groups: runs of consecutive rows holding at least MIN_GROUP_UNKNOWNS
-    # unknowns (every row holds as many), the leftover rows and the neuron
-    # terminals joining the last group. Unknowns are ordered by group, then by
-    # node id, so a single group is the whole system in node-id order.
+    # unknowns (every row holds as many), the leftover rows joining the last
     per_row = (not voltage_mode) + cols * ((spec.r_wire_row > 0.0) + (spec.r_wire_col > 0.0))
     span = -(-MIN_GROUP_UNKNOWNS // per_row) if per_row else rows
     n_groups = max(rows // span, 1)
-    size = np.array([unknown.size])  # unknowns per group
-    if n_groups > 1:
-        row_of = np.full(n_nodes, rows - 1)
-        row_of[src] = np.arange(rows)
-        row_of[rnode] = row_of[cnode] = np.arange(rows)[:, None]
-        group = np.minimum(row_of[unknown] // span, n_groups - 1)
-        unknown = unknown[np.argsort(group, kind="stable")]
-        size = np.bincount(group, minlength=n_groups)
     n = unknown.size
     k = np.full(n_nodes, -1)
     k[unknown] = np.arange(n)
-    start = np.concatenate([[0], np.cumsum(size)])
-    gid = np.repeat(np.arange(n_groups), size)  # group of each position
 
     # stamp each branch from its near end p, an unknown; v so far holds only
     # fixed potentials. The stamps then hold positions, q = -1 marking a
-    # known far end. A branch between two groups couples the earlier one to
-    # its next group (a column wire) or to the last one (merged columns).
+    # known far end.
     p, q, gpq = np.concatenate([a, c]), np.concatenate([c, a]), np.concatenate([g, g])
     near = k[p] >= 0
     b = np.bincount(k[p[near]], gpq[near] * v[q[near]], minlength=n)
@@ -315,16 +353,18 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
         raise SingularNetworkError(
             f"floating node (supernode {node}) has no conductance to the rest "
             "of the network", node=node)
-    # the diagonal, then every off-diagonal entry not below the group blocks
-    upper = (q >= 0) & (gid[p] <= gid[q])
-    p, q, gpq = (np.concatenate([np.arange(n), p[upper]]),
-                 np.concatenate([np.arange(n), q[upper]]), np.concatenate([diag, -gpq[upper]]))
     try:
-        if n_groups == 1:
-            v[unknown] = np.linalg.solve(np.bincount(p * n + q, gpq, minlength=n * n)
-                                         .reshape(n, n), b)
+        if n_groups == 1:  # the diagonal, then every off-diagonal stamp
+            off = q >= 0
+            v[unknown] = np.linalg.solve(
+                np.bincount(np.concatenate([np.arange(n) * (n + 1), p[off] * n + q[off]]),
+                            np.concatenate([diag, -gpq[off]]), minlength=n * n).reshape(n, n), b)
         else:
-            v[unknown] = _eliminate(p, q, gpq, b, start)
+            v_chain, v_col, v_term = _two_layer(G.g, x.values, voltage_mode, spec.r_wire_row,
+                                                spec.r_wire_col, r_neuron, span, n_groups)
+            # a chain is the driver node (current mode), then the row wire
+            v[np.column_stack([src, rnode])[:, voltage_mode:][:, :len(v_chain)]] = v_chain.T
+            v[cnode], v[term] = v_col, v_term
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 

@@ -194,7 +194,7 @@ def _newton(residual_jac, v: list) -> tuple[list, int, float]:
 def check_input_current(p: RgcParams, i_in: float) -> None:
     """Raise SolverError if i_in leaves M1, which carries ib - i_in, no current."""
     if p.ib - i_in <= 0.0:
-        raise SolverError(f"input current {i_in} exceeds main bias {p.ib}: M1 forced "
+        raise SolverError(f"input current {i_in:.6g} exceeds main bias {p.ib:.6g}: M1 forced "
                           "into cutoff (infeasible bias)")
 
 

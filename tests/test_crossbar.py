@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarsim import crossbar
 from xbarsim.crossbar import (ConductanceMatrix, NonIdealSpec,
                               SingularNetworkError, current_excitation,
                               dot_product_error, output_currents_ideal,
@@ -231,20 +232,20 @@ class TestNodalProperties:
             output_currents_nonideal(G, current_excitation([1e-6, 2e-6]), spec)
 
 
-def solve_counted(G, x, spec):
-    """output_currents_nonideal, and how many np.linalg.solve calls it made."""
-    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+def solve_split(G, x, spec):
+    """output_currents_nonideal, and whether it split the tile into row groups."""
+    with mock.patch.object(crossbar, "_two_layer", wraps=crossbar._two_layer) as two_layer:
         sol = output_currents_nonideal(G, x, spec)
-    return sol, solve.call_count
+    return sol, two_layer.called
 
 
 # sampled_from draws rows and columns near-uniformly, so about a quarter of
 # the tiles are several groups
 @st.composite
-def tiles(draw):
+def tiles(draw, min_rows=1):
     """A random tile: voltage or current drive, wires of 0 or finite ohms,
     and terminations mixing 0, finite and open."""
-    rows, cols = draw(st.sampled_from(range(1, 41))), draw(st.sampled_from(range(1, 13)))
+    rows, cols = draw(st.sampled_from(range(min_rows, 41))), draw(st.sampled_from(range(1, 13)))
     rng = np.random.default_rng(draw(seeds))
     excite = draw(st.sampled_from([voltage_excitation, current_excitation]))
     r_row, r_col = draw(wires_or_zero), draw(wires_or_zero)
@@ -284,9 +285,19 @@ def traced_peak(n):
         tracemalloc.stop()
 
 
+def assert_close(sol, ref):
+    """Currents within 1e-10 of the reference's largest, and the solution's
+    own Tellegen balance within 1e-9."""
+    scale = np.max(np.abs(ref.neuron_currents))
+    assert np.max(np.abs(sol.neuron_currents - ref.neuron_currents)) <= 1e-10 * scale
+    assert abs(sol.p_source - sol.p_dissipated) <= \
+        1e-9 * max(abs(sol.p_source), abs(sol.p_dissipated))
+
+
 class TestBlockSolve:
-    """The row-group block elimination against the dense solve it replaced,
-    and its streamed sweep against the sweep that stamped every group first."""
+    """The two-layer solve of tiles of several row groups against the dense
+    solve and the row-group block elimination that it replaced; tiles of one
+    group stay one dense solve, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(tiles())
@@ -295,15 +306,12 @@ class TestBlockSolve:
         ref = reference_or_same_error(reference_solve_network, G, x, spec)
         if ref is None:
             return
-        sol, solves = solve_counted(G, x, spec)
-        if solves == 1:  # one group: the dense matrix in node-id order
+        sol, split = solve_split(G, x, spec)
+        if not split:  # one group: the dense matrix in node-id order
             assert np.array_equal(sol.neuron_currents, ref.neuron_currents)
             assert (sol.p_source, sol.p_dissipated) == (ref.p_source, ref.p_dissipated)
         else:
-            scale = np.max(np.abs(ref.neuron_currents))
-            assert np.max(np.abs(sol.neuron_currents - ref.neuron_currents)) <= 1e-10 * scale
-            assert abs(sol.p_source - sol.p_dissipated) <= \
-                1e-9 * max(abs(sol.p_source), abs(sol.p_dissipated))
+            assert_close(sol, ref)
 
     @settings(max_examples=200, deadline=None)
     @given(tiles())
@@ -312,9 +320,35 @@ class TestBlockSolve:
         ref = reference_or_same_error(reference_block_solve, G, x, spec)
         if ref is None:
             return
-        sol = output_currents_nonideal(G, x, spec)
+        sol, split = solve_split(G, x, spec)
+        if split:
+            return  # several groups: test_two_layer_matches_both_references
         assert np.array_equal(sol.neuron_currents, ref.neuron_currents)
         assert (sol.p_source, sol.p_dissipated) == (ref.p_source, ref.p_dissipated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tiles(min_rows=20))
+    def test_two_layer_matches_both_references(self, tile):
+        G, x, spec = tile
+        refs = [reference_or_same_error(r, G, x, spec)
+                for r in (reference_solve_network, reference_block_solve)]
+        if refs[0] is None or refs[1] is None:
+            return
+        sol = output_currents_nonideal(G, x, spec)
+        for ref in refs:
+            assert_close(sol, ref)
+
+    @pytest.mark.parametrize("spec", [NonIdealSpec(0.0, 0.0, [100.0, 0.0, math.inf, 1e3]),
+                                      NonIdealSpec(0.0, 2.0, [100.0, 0.0, math.inf, 1e3])])
+    def test_driver_chain_of_one_node(self, spec):
+        # current drive on ideal row wires: each chain is the driver alone,
+        # tied to every column; tiles() draws too few rows to split it
+        rng = np.random.default_rng(17)
+        G = random_gmat(rng, 200, 4)
+        x = current_excitation(rng.uniform(1e-6, 1e-5, 200))
+        sol, split = solve_split(G, x, spec)
+        assert split
+        assert_close(sol, reference_solve_network(G, x, spec))
 
     @pytest.mark.parametrize("rows,cols,spec,excite,split", [
         # the benchmark self-test's tile and the small layer tile of its network
@@ -328,8 +362,8 @@ class TestBlockSolve:
         rng = np.random.default_rng(rows * cols)
         G = random_gmat(rng, rows, cols)
         x = excite(rng.uniform(1e-6, 1e-5, rows))
-        sol, solves = solve_counted(G, x, spec)
-        assert (solves > 1) == split
+        sol, got = solve_split(G, x, spec)
+        assert got == split
         if not split:
             ref = reference_solve_network(G, x, spec)
             assert np.array_equal(sol.neuron_currents, ref.neuron_currents)
@@ -347,7 +381,7 @@ class TestBlockSolve:
         G = random_gmat(rng, 30, 4)
         x = excite(rng.uniform(1e-6, 1e-5, 30))
         # the same tile with finite wires and terminations is several groups
-        assert solve_counted(G, x, NonIdealSpec(5.0, 5.0, 1e3))[1] > 1
+        assert solve_split(G, x, NonIdealSpec(5.0, 5.0, 1e3))[1]
         with pytest.raises(SingularNetworkError, match=message) as want:
             reference_solve_network(G, x, spec)
         with pytest.raises(SingularNetworkError) as got:
@@ -360,8 +394,10 @@ class TestBlockSolve:
         assert traced_peak(48) < 6e6
 
     def test_128x128_holds_one_group_block_at_a_time(self):
-        # stamping every group's block before the sweep peaked at 147 MB here
-        assert traced_peak(128) < 64e6
+        # stamping every group's block before the sweep peaked at 147 MB here,
+        # the sweep over both wire layers at 45 MB, and condensing every
+        # row's chain before the column sweep at about 53 MB
+        assert traced_peak(128) < 48e6
 
 
 class TestErrorMetric:
