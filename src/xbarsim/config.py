@@ -23,7 +23,10 @@ ENG_SUFFIXES = {
     "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3,
     "k": 1e3, "K": 1e3, "M": 1e6, "G": 1e9,
 }
-_ENG_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([fpnumkKMG]?)\s*$")
+# a decimal literal as numpy's text reader takes it; float() and Decimal()
+# alone would also take '1_0' and non-ASCII digits (fullwidth, Arabic-Indic)
+NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_ENG_RE = re.compile(rf"\s*({NUMBER.pattern})\s*([fpnumkKMG]?)\s*", re.ASCII)
 
 
 class ConfigError(ValueError):
@@ -41,7 +44,7 @@ def parse_engineering(value, key: str = "") -> float:
         if isinstance(value, str):
             if value.strip() in ("inf", "Inf", "INF"):
                 return math.inf
-            m = _ENG_RE.match(value)
+            m = _ENG_RE.fullmatch(value)
             if m:
                 mant, suffix = m.groups()
                 if not suffix:

@@ -1,24 +1,24 @@
 """Crossbar arrays: the bounded conductance matrix, ideal dot products and
 full resistive nodal analysis.
 
-The non-ideal solve assembles the complete resistive network (row wire
-segments, cross-point conductances, column wire segments, finite neuron
-input resistances). A tile too small to fill two groups of consecutive
-rows is one dense solve. A larger one is solved in two layers. First,
-each crossbar row's chain (its driver node in current mode, then its row
-wire) is tridiagonal and touches only that row's column-side nodes, so one
-Thomas sweep over chain positions, across all rows, condenses it to a
-dense cols x cols block on them. Then the column side alone is solved by
-block elimination over the row groups: the column wires couple only
-neighbouring groups, and the neuron terminals border the last. Live in
-memory are one chunk of condensed rows (a few MB at most) and the sweep
-solutions kept for back-substitution, rows x cols x (cols + 1) doubles.
+The non-ideal solve works on the tile's structure. Each crossbar row is a
+chain (its driver node in current mode, then its row wire's nodes), each
+cross-point ties the chain to the column side (the column wires' nodes),
+and each column wire ends at a neuron terminal with its finite input
+resistance. A zero-ohm row wire merges its row into the driver, and a
+zero-ohm column wire its column into the terminal, so the all-ideal case has
+no unknowns and reduces to the matrix-vector product.
 
-Zero-ohm wires are handled structurally by node merging: with zero
-row-wire resistance each whole row merges into its driver node, and with
-zero column-wire resistance each whole column merges into its neuron
-terminal. So the all-ideal case has no unknowns and reduces to the
-matrix-vector product.
+A tile too small to fill two groups of consecutive rows is one dense solve.
+A larger one is solved in two layers: one Thomas sweep over chain
+positions, across all rows, condenses each row's chain to a dense
+cols x cols block on its column-side nodes, then block elimination over the
+row groups solves the column side alone (the column wires couple only
+neighbouring groups, and the terminals border the last). Both solves return
+the chain, column-side and terminal voltages, from which the neuron currents
+and both Tellegen powers follow. Live in memory are one chunk of condensed
+rows (a few MB at most) and the sweep solutions kept for back-substitution,
+rows x cols x (cols + 1) doubles.
 """
 
 from __future__ import annotations
@@ -168,7 +168,42 @@ def _chain_solve(m, piv, w, x):
     return x
 
 
-def _two_layer(g, drive, voltage_mode, r_row, r_col, r_neuron, span, n_groups):
+def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
+    """Solve a tile of one row group as one dense system, its unknowns in the
+    dense reference's node order: the drivers in current mode, the row
+    wires' and then the column wires' nodes row by row, then the free
+    terminals. Returns what _two_layer returns."""
+    rows, cols = g.shape
+    d, w_r, pos, unit = chain
+    L, lead = len(d), int(not voltage_mode)
+    at = np.empty((L, rows), int)  # each chain position's unknown
+    at[:lead] = np.arange(rows)
+    at[lead:] = lead * rows + np.arange(rows * (L - lead)).reshape(rows, L - lead).T
+    col = at.size + np.arange(rows * cols if r_col > 0.0 else 0).reshape(-1, cols)
+    term = at.size + col.size + np.arange(ends.size)
+    a, b = np.diag(diag), np.zeros(diag.size)
+    a[at[:-1], at[1:]] = a[at[1:], at[:-1]] = -w_r
+    to = col  # each cross-point's column-side unknown, -1 for ground
+    if r_col > 0.0:
+        a[col[:-1], col[1:]] = a[col[1:], col[:-1]] = -1.0 / r_col
+        a[col[-1, ends], term] = a[term, col[-1, ends]] = -1.0 / r_col
+    else:
+        to = np.full((rows, cols), -1)
+        to[:, ends] = term
+    tied = to >= 0
+    if L:
+        frm = at[pos].T  # and its row-side one
+        a[frm[tied], to[tied]] = a[to[tied], frm[tied]] = -g[tied]
+        b[at[0]] = unit * drive
+    else:  # fixed drivers feed the column side, a merged column in sequence
+        np.add.at(b, to[tied], (g * drive[:, None])[tied])
+    v = np.linalg.solve(a, b)
+    v_term = np.zeros(cols)
+    v_term[ends] = v[term]
+    return v[at], v[col] if r_col > 0.0 else np.broadcast_to(v_term, (rows, cols)), v_term
+
+
+def _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term, span, n_groups):
     """Solve a tile of several row groups in two layers (module docstring).
 
     Chain position pos[j] ties to column j through g[i, j]. Condensing row
@@ -181,21 +216,12 @@ def _two_layer(g, drive, voltage_mode, r_row, r_col, r_neuron, span, n_groups):
     terminal voltages (0 where grounded).
     """
     rows, cols = g.shape
-    if r_row > 0.0:
-        w_r, L = 1.0 / r_row, cols + (not voltage_mode)
-        pos = np.arange(cols) + (not voltage_mode)
-        d = np.full((L, rows), 2 * w_r)
-        d[-1] = w_r  # the row wire's far end, and a driver, link one way only
-        if not voltage_mode:
-            d[0] = w_r
-        d[pos] += g.T
-    else:  # a driver with its ideal row wire, unless the driver is fixed
-        w_r, L, pos, d = 0.0, int(not voltage_mode), np.zeros(cols, int), g.sum(1)[None]
+    d, w_r, pos, unit = chain
+    L = len(d)
     m, piv = np.zeros_like(d), d.copy()  # Thomas factors; each diagonal exceeds
     for t in range(1, L):                 # its links, so every pivot is positive
         m[t] = w_r / piv[t - 1]
         piv[t] -= m[t] * w_r
-    unit = w_r if voltage_mode and L else 1.0  # what a unit drive sends into position 0
     bounds = np.append(np.arange(n_groups) * span, rows)  # group j: rows bounds[j]:bounds[j + 1]
     per_chunk = max(1, (1 << 18) // (span * (cols + 1)) ** 2)
     diag = np.arange(cols)
@@ -219,8 +245,6 @@ def _two_layer(g, drive, voltage_mode, r_row, r_col, r_neuron, span, n_groups):
                 fed = y[:, :, -1] * drive[r0:r1, None]
             yield block[bounds[j] - r0:bounds[j + 1] - r0], fed[bounds[j] - r0:bounds[j + 1] - r0]
 
-    ends = np.flatnonzero(r_neuron > 0.0)  # the free terminals
-    g_term = 1.0 / r_neuron[ends]
     v_term = np.zeros(cols)
     if r_col == 0.0:
         a, b = np.zeros((cols, cols)), np.zeros(cols)
@@ -278,109 +302,83 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
     """
     if x.values.shape[0] != G.n_rows:
         raise ValueError(f"excitation length {x.values.shape[0]} != rows {G.n_rows}")
-    rows, cols = G.n_rows, G.n_cols
+    g, drive = G.g, x.values
+    rows, cols = g.shape
+    r_row, r_col = spec.r_wire_row, spec.r_wire_col
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
+    lead = int(not voltage_mode)  # a current driver heads its row's chain
     # current sources fix no potential: only a termination at the end of a
     # column wire ties the array to ground
-    if not voltage_mode and (np.isinf(spec.r_wire_col) or np.all(np.isinf(r_neuron))):
+    if not voltage_mode and (np.isinf(r_col) or np.all(np.isinf(r_neuron))):
         raise SingularNetworkError("current-mode network has no path to ground: the "
                                    "column wires or all neuron terminations are open")
 
-    # node numbering: ground 0, per-row driver nodes, row-side cross-point
-    # nodes, column-side cross-point nodes, neuron terminal nodes
-    src = 1 + np.arange(rows)
-    rnode = (1 + rows + np.arange(rows * cols)).reshape(rows, cols)
-    cnode = rnode + rows * cols
-    term = 1 + rows + 2 * rows * cols + np.arange(cols)
-    n_nodes = term[-1] + 1
-
-    # zero-ohm wires merge a whole row into its driver or a whole column
-    # into its neuron terminal; no other merge is possible with scalar wires
-    rep = np.arange(n_nodes)
-    if spec.r_wire_row == 0.0:
-        rep[rnode] = src[:, None]
-    if spec.r_wire_col == 0.0:
-        rep[cnode] = term[None, :]
-
-    # branch groups (a, c, g); zero-ohm branches are never created, so no
-    # branch lies inside one supernode
-    terminated = r_neuron > 0.0
-    ends = term[terminated]
-    groups = [(rnode, cnode, G.g), (ends, np.zeros_like(ends), 1.0 / r_neuron[terminated])]
-    if spec.r_wire_row > 0.0:  # driver feed, then between adjacent cross-points
-        groups.append((np.column_stack([src, rnode[:, :-1]]), rnode, 1.0 / spec.r_wire_row))
-    if spec.r_wire_col > 0.0:  # between adjacent cross-points, then terminal feed
-        groups.append((cnode, np.vstack([cnode[1:], term]), 1.0 / spec.r_wire_col))
-    a = rep[np.concatenate([np.ravel(ga) for ga, _, _ in groups])]
-    c = rep[np.concatenate([np.ravel(gc) for _, gc, _ in groups])]
-    g = np.concatenate([np.broadcast_to(gg, np.shape(ga)).ravel() for ga, _, gg in groups])
-
-    # fixed potentials: ground, voltage-mode drivers and zero-resistance
-    # neuron terminals (ideal virtual ground); other supernodes are unknown
-    v = np.zeros(n_nodes)
-    is_unknown = rep == np.arange(n_nodes)
-    is_unknown[0] = False
-    is_unknown[term[~terminated]] = False
-    if voltage_mode:
-        is_unknown[src] = False
-        v[src] = x.values
-    unknown = np.flatnonzero(is_unknown)
+    # Each node's diagonal adds its branches in the dense reference's order
+    # (tests/oracles.py), a merged node's in sequence, so that a tile of one
+    # group matches it bit for bit: a row-wire node its cross-point, then its
+    # links right and left; a column-wire node its link down, cross-point
+    # and link up; a free terminal its termination, then its column.
+    if r_row > 0.0:
+        w_r, L, pos = 1.0 / r_row, cols + lead, np.arange(lead, cols + lead)
+        d = np.vstack([np.full((lead, rows), w_r), g.T + w_r])
+        d[lead:-1] += w_r  # the row wire's far end links one way only
+    else:  # a driver with its ideal row wire, unless the driver is fixed
+        w_r, L, pos = 0.0, lead, np.zeros(cols, int)
+        d = np.cumsum(g, 1)[None, :, -1][:L]
+    # the chain's diagonals, link, positions and what a unit drive feeds into position 0
+    chain = (d, w_r, pos, w_r if voltage_mode else 1.0)
+    ends = np.flatnonzero(r_neuron > 0.0)  # the free terminals
+    g_term = 1.0 / r_neuron[ends]
+    if r_col > 0.0:
+        w_c = 1.0 / r_col
+        d_col, d_term = np.vstack([w_c + g[:1], w_c + g[1:] + w_c]), g_term + w_c
+    else:  # a column merged into its terminal
+        d_col, d_term = g[:0], np.cumsum(np.vstack([g_term, g[:, ends]]), 0)[-1]
+    diag = np.concatenate([d[:lead].ravel(), d[lead:].T.ravel(), d_col.ravel(), d_term])
+    if not np.all(diag):  # node ids count ground, drivers, both wire layers, terminals
+        unknown = np.repeat([lead, r_row > 0.0, r_col > 0.0], [rows, rows * cols, rows * cols])
+        node = 1 + int(np.flatnonzero(np.append(unknown, r_neuron > 0.0))[np.argmin(diag)])
+        raise SingularNetworkError(f"floating node (supernode {node}) has no conductance "
+                                   "to the rest of the network", node=node)
 
     # row groups: runs of consecutive rows holding at least MIN_GROUP_UNKNOWNS
     # unknowns (every row holds as many), the leftover rows joining the last
-    per_row = (not voltage_mode) + cols * ((spec.r_wire_row > 0.0) + (spec.r_wire_col > 0.0))
+    per_row = lead + cols * ((r_row > 0.0) + (r_col > 0.0))
     span = -(-MIN_GROUP_UNKNOWNS // per_row) if per_row else rows
     n_groups = max(rows // span, 1)
-    n = unknown.size
-    k = np.full(n_nodes, -1)
-    k[unknown] = np.arange(n)
-
-    # stamp each branch from its near end p, an unknown; v so far holds only
-    # fixed potentials. The stamps then hold positions, q = -1 marking a
-    # known far end.
-    p, q, gpq = np.concatenate([a, c]), np.concatenate([c, a]), np.concatenate([g, g])
-    near = k[p] >= 0
-    b = np.bincount(k[p[near]], gpq[near] * v[q[near]], minlength=n)
-    if not voltage_mode:
-        b[k[src]] += x.values
-    p, q, gpq = k[p[near]], k[q[near]], gpq[near]
-
-    diag = np.bincount(p, gpq, minlength=n)
-    is_floating = diag == 0.0
-    if np.any(is_floating):
-        node = int(unknown[is_floating].min())
-        raise SingularNetworkError(
-            f"floating node (supernode {node}) has no conductance to the rest "
-            "of the network", node=node)
     try:
-        if n_groups == 1:  # the diagonal, then every off-diagonal stamp
-            off = q >= 0
-            v[unknown] = np.linalg.solve(
-                np.bincount(np.concatenate([np.arange(n) * (n + 1), p[off] * n + q[off]]),
-                            np.concatenate([diag, -gpq[off]]), minlength=n * n).reshape(n, n), b)
-        else:
-            v_chain, v_col, v_term = _two_layer(G.g, x.values, voltage_mode, spec.r_wire_row,
-                                                spec.r_wire_col, r_neuron, span, n_groups)
-            # a chain is the driver node (current mode), then the row wire
-            v[np.column_stack([src, rnode])[:, voltage_mode:][:, :len(v_chain)]] = v_chain.T
-            v[cnode], v[term] = v_col, v_term
+        v_chain, v_col, v_term = (
+            _dense(g, drive, voltage_mode, chain, r_col, ends, diag) if n_groups == 1 else
+            _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term, span, n_groups))
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 
-    # branch currents a -> c and each node's net inflow; a neuron's current
-    # flows through its termination, or into its virtual-ground terminal
-    dv = v[a] - v[c]
-    i_b = g * dv
-    inflow = np.bincount(np.concatenate([c, a]), np.concatenate([i_b, -i_b]),
-                         minlength=n_nodes)
-    currents = inflow[term]
-    currents[terminated] = v[ends] / r_neuron[terminated]
+    # branch voltages and currents in the reference's order: cross-points,
+    # terminations, row wires (the driver's feed, then between cross-points)
+    # and column wires (between cross-points, then the terminal's feed)
+    v_src = drive if voltage_mode else v_chain[0]
+    v_row = v_chain[pos].T if L else drive[:, None]
+    dv, gb = [v_row - v_col, v_term[ends]], [g, g_term]
+    if r_row > 0.0:
+        v = np.column_stack([v_src, v_row])
+        dv, gb = dv + [v[:, :-1] - v[:, 1:]], gb + [w_r]
+    if r_col > 0.0:
+        v = np.vstack([v_col, v_term])
+        dv, gb = dv + [v[:-1] - v[1:]], gb + [w_c]
+    i_b = [c * u for c, u in zip(gb, dv)]
+    # a neuron's current flows through its termination, or into its grounded
+    # terminal from the column wire's feed or from its merged column
+    currents = np.array(i_b[-1][-1] if r_col > 0.0 else np.cumsum(i_b[0], 0)[-1])
+    currents[ends] = v_term[ends] / r_neuron[ends]
 
-    # power bookkeeping (Tellegen): source power vs sum over resistive branches
-    p_src = -x.values @ inflow[src] if voltage_mode else x.values @ v[src]
-    return NodalSolution(neuron_currents=currents, p_source=float(p_src),
-                         p_dissipated=float(i_b @ dv))
+    # Tellegen's powers, each one dot product of contiguous operands (BLAS sums a
+    # strided one in another order); a voltage driver sends its feed's or row's current
+    dual = v_src if not voltage_mode else \
+        i_b[2][:, 0] if r_row > 0.0 else np.cumsum(i_b[0], 1)[:, -1]
+    return NodalSolution(neuron_currents=currents,
+                         p_source=float(drive @ np.ascontiguousarray(dual)),
+                         p_dissipated=float(np.concatenate(i_b, None) @ np.concatenate(dv, None)))
 
 
 def dot_product_error(G: ConductanceMatrix, x: Excitation,

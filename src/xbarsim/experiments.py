@@ -5,13 +5,12 @@ module and wrap the result in a replayable report record.
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_COUNT, ConfigError, SimConfig
+from .config import MAX_COUNT, NUMBER, ConfigError, SimConfig
 from .crossbar import ConductanceMatrix
 from .montecarlo import run_mc
 from .network import (Activation, CircuitContext, Fidelity, LayerSpec,
@@ -31,14 +30,9 @@ class ExperimentKind(Enum):
     ENERGY = "energy"
 
 
-# a decimal literal as numpy's text reader takes it; float() alone would also
-# take '1_0' and non-ASCII digits
-_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
-
-
 def _number(cell: str, key: str, line: int, column: int) -> float:
     s = cell.strip()
-    v = float(s) if _NUMBER.fullmatch(s) else math.nan
+    v = float(s) if NUMBER.fullmatch(s) else math.nan
     if not math.isfinite(v):
         raise ConfigError(f"{key}: could not read {cell!r} as a finite number at "
                           f"line {line}, column {column}")

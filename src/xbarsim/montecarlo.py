@@ -2,7 +2,8 @@
 
 Determinism contract: every run r derives its own generator from
 np.random.default_rng([seed, r]), so results are bit-identical regardless
-of evaluation order or worker count.
+of evaluation order or worker count. A chip's neuron (li, j) draws from
+np.random.default_rng([seed, li, j]) alike.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ class MismatchSpec:
             raise ValueError("mismatch sigmas must be >= 0")
 
 
-def run_rng(seed: int, run_index: int) -> np.random.Generator:
-    """The documented per-run splitting function of (seed, run_index)."""
-    return np.random.default_rng([seed, run_index])
+def run_rng(seed: int, *keys: int) -> np.random.Generator:
+    """The documented splitting function: the stream of (seed, *keys), such
+    as (seed, run_index) for a Monte Carlo run."""
+    return np.random.default_rng([seed, *keys])
 
 
 def sample_params(nominal: RgcParams, spec: MismatchSpec,

@@ -123,9 +123,6 @@ class InferenceResult:
     failures: list = field(default_factory=list)
 
 
-_STREAMS_PER_LAYER = 4096  # layer li, neuron j draws stream li * 4096 + j
-
-
 @dataclass(frozen=True)
 class CircuitContext:
     """Shared circuit-level settings for crossbar-backed inference. With a
@@ -146,8 +143,7 @@ def _calibration_failures(ctx: CircuitContext, li: int, j: int) -> tuple:
     """Reasons the SAR trim of layer li's neuron j failed (empty if it did
     not); the neuron is sampled and trimmed on first use only."""
     if (li, j) not in ctx._cal_failures:
-        pj = sample_params(ctx.neuron, ctx.mismatch,
-                           run_rng(ctx.mismatch_seed, li * _STREAMS_PER_LAYER + j))
+        pj = sample_params(ctx.neuron, ctx.mismatch, run_rng(ctx.mismatch_seed, li, j))
         try:
             sar_calibrate(lambda c: solve_dc(pj, 0.0, c).v_in, ctx.vref_in, pj.dac.nbits)
             ctx._cal_failures[li, j] = ()
@@ -173,11 +169,6 @@ def infer(layers, x, fidelity: Fidelity,
         if any(isinstance(l, LayerSpec) for l in layers):
             raise ValueError("circuit fidelities need MappedLayer inputs")
     mismatched = nonideal and ctx.mismatch is not None
-    if mismatched:
-        for li, layer in enumerate(layers):
-            if layer.n_out > _STREAMS_PER_LAYER:
-                raise ValueError(f"layer {li} has {layer.n_out} outputs; mismatch "
-                                 f"streams alias past {_STREAMS_PER_LAYER} per layer")
     pres, bits, failures = [], [], []
     p_crossbar = 0.0
     v = np.asarray(x, dtype=float)

@@ -12,7 +12,9 @@ monotone sweep to check that the two agree call for call.
 ``reference_solve_dc`` and ``reference_rout_numeric`` are the numpy-array
 Newton solves that the neuron's Python-float solves replaced, kept to check
 that the two agree bit for bit. ``reference_solve_network`` is the dense
-nodal solve that the crossbar's row-group block elimination replaced, and
+nodal solve that the crossbar's row-group block elimination replaced;
+``exact_solve_network`` refines its solution in extended precision, so
+that the float64 solves can be measured against an exact answer.
 ``reference_block_solve`` is that elimination as it first landed, with
 every group's block and coupling stamped before the sweep, kept to check
 that the streamed sweep agrees with it bit for bit. ``chain_solve_dc``
@@ -115,11 +117,11 @@ def nodal_oracle_zero_wire(g, v_in, r_neuron):
 
 
 def reference_solve_network(G: ConductanceMatrix, x: Excitation,
-                            spec: NonIdealSpec) -> NodalSolution:
+                            spec: NonIdealSpec, solve=np.linalg.solve) -> NodalSolution:
     """The dense nodal solve that the row-group block elimination in
     ``crossbar.output_currents_nonideal`` replaced, kept verbatim: it assembles the
     whole n x n system in node-id order and factors it in one
-    ``np.linalg.solve`` call."""
+    ``np.linalg.solve`` call (``solve``, which exact_solve_network refines)."""
     rows, cols = G.n_rows, G.n_cols
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
@@ -188,7 +190,7 @@ def reference_solve_network(G: ConductanceMatrix, x: Excitation,
             f"floating node (supernode {node}) has no conductance to the rest "
             "of the network", node=node)
     try:
-        v[unknown] = np.linalg.solve(A, b)
+        v[unknown] = solve(A, b)
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 
@@ -205,6 +207,28 @@ def reference_solve_network(G: ConductanceMatrix, x: Excitation,
     p_src = -x.values @ inflow[src] if voltage_mode else x.values @ v[src]
     return NodalSolution(neuron_currents=currents, p_source=float(p_src),
                          p_dissipated=float(i_b @ dv))
+
+
+def _refined_solve(A, b, steps: int = 3) -> np.ndarray:
+    """np.linalg.solve, then ``steps`` rounds of iterative refinement: each
+    solves for a correction from the residual, computed in np.longdouble.
+    While cond(A) is well below 1/eps, each round shrinks the error by a
+    factor of about cond(A)*eps, down to float64 rounding (Golub and Van
+    Loan, Matrix Computations, section 3.5)."""
+    v = np.linalg.solve(A, b)
+    A_ext, b_ext = A.astype(np.longdouble), b.astype(np.longdouble)
+    for _ in range(steps):
+        v = v + np.linalg.solve(A, (b_ext - A_ext @ v).astype(float))
+    return v
+
+
+def exact_solve_network(G: ConductanceMatrix, x: Excitation,
+                        spec: NonIdealSpec) -> NodalSolution:
+    """reference_solve_network with its dense solve iteratively refined, so
+    that its node voltages solve the assembled system exactly to float64
+    rounding; the float64 solves can then be checked against that answer
+    instead of against each other."""
+    return reference_solve_network(G, x, spec, solve=_refined_solve)
 
 
 def _reference_eliminate(blocks, b, start, off, p, q, entry) -> np.ndarray:
@@ -403,7 +427,7 @@ def solved_readout(nominal, mismatch, mismatch_seed, vref_in, li, i_diff,
     """Comparator bits of mismatched layer li, each solved as
     v_out(i_diff[j]) >= v_out(0).
 
-    Neuron j is sampled on stream li * 4096 + j and SAR-trimmed to vref_in
+    Neuron j is sampled on stream (li, j) and SAR-trimmed to vref_in
     (code 0 if the SAR fails); both points are solved at that code. A neuron
     whose readout or quiescent solve fails keeps the sign bit. Returns the
     bits and the failures as (neuron, stage, reason), stage being
@@ -412,7 +436,7 @@ def solved_readout(nominal, mismatch, mismatch_seed, vref_in, li, i_diff,
     bits = np.asarray(i_diff) >= 0.0
     failures = []
     for j, i in enumerate(i_diff):
-        p = sample_params(nominal, mismatch, run_rng(mismatch_seed, li * 4096 + j))
+        p = sample_params(nominal, mismatch, run_rng(mismatch_seed, li, j))
         code = 0
         try:
             code = sar_calibrate(lambda c: solve(p, 0.0, c).v_in, vref_in,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarsim import crossbar
+from xbarsim import crossbar, network
 from xbarsim.crossbar import (ConductanceMatrix, NonIdealSpec,
                               SingularNetworkError, current_excitation,
                               dot_product_error, output_currents_ideal,
                               output_currents_nonideal, voltage_excitation)
+from xbarsim.network import Fidelity
 
-from oracles import (nodal_oracle_currents, nodal_oracle_zero_wire, reference_block_solve,
-                     reference_solve_network)
+from oracles import (exact_solve_network, nodal_oracle_currents, nodal_oracle_zero_wire,
+                     reference_block_solve, reference_solve_network)
 
 
 def gmat(values, g_min=1e-6, g_max=5e-3):
@@ -398,6 +400,38 @@ class TestBlockSolve:
         # the sweep over both wire layers at 45 MB, and condensing every
         # row's chain before the column sweep at about 53 MB
         assert traced_peak(128) < 48e6
+
+
+def bench_tiles(monkeypatch, seed):
+    """The benchmark's own tiles at one seed (bench/workloads.py): its 16 x 16
+    nodal_tiles tiles, and the 16 x 8 and 8 x 4 layer tiles that
+    infer_nonideal solves for its first two inputs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import workloads
+    tiles = [t for t in workloads.NodalTiles(seed).tiles if t[0].n_rows == 16]
+    wl = workloads.InferNonideal(seed, inputs=2)
+    with mock.patch.object(network, "output_currents_nonideal",
+                           wraps=output_currents_nonideal) as solve:
+        for x in wl.xs:
+            network.infer(wl.mapped, x, Fidelity.CIRCUIT_NONIDEAL, wl.ctx)
+    return tiles + [c.args for c in solve.call_args_list]
+
+
+class TestExactSolve:
+    """The solve against an exact one, the dense reference refined in
+    extended precision: tiles of several groups move in their last bits
+    whenever their elimination changes, and both float64 references err too."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_tiles_match_exact_solve(self, monkeypatch, seed):
+        tiles = bench_tiles(monkeypatch, seed)
+        # per input, each layer's g_plus and g_minus tiles
+        assert [t[0].g.shape for t in tiles] == \
+            [(16, 16)] * 15 + [(16, 8), (16, 8), (8, 4), (8, 4)] * 2
+        for G, x, spec in tiles:
+            exact = exact_solve_network(G, x, spec).neuron_currents
+            got = output_currents_nonideal(G, x, spec).neuron_currents
+            assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 class TestErrorMetric:

@@ -203,6 +203,9 @@ MALFORMED = [
     ({"sar": {"grid_points": 2**53 + 1}}, "sar.grid_points"),
     ({"network": {"n_inputs": 10**30}}, "network.n_inputs"),
     ({"mc": {"runs": 10**20}}, "mc.runs"),
+    # digits outside ASCII, which float() and Decimal() would take
+    ({"neuron": {"ib": "\uff15u"}}, "neuron.ib: cannot parse"),
+    ({"neuron": {"ib": "\u0665"}}, "neuron.ib: cannot parse"),
 ]
 
 

@@ -208,7 +208,7 @@ class TestInference:
             "layers": [{"values": w}], "inputs_csv": "x.csv",
             "fidelity": "circuit_nonideal"}}), base_dir=tmp_path)
         # the mismatched instance of layer 0, neuron 1
-        failing = sample_params(cfg.neuron_params(), cfg.mismatch_spec(), run_rng(9, 1))
+        failing = sample_params(cfg.neuron_params(), cfg.mismatch_spec(), run_rng(9, 0, 1))
 
         def solve_dc_failing_neuron_1(p, *args):
             if p == failing:
@@ -265,7 +265,7 @@ class TestCalibrateOnce:
         xs = rng.uniform(-1, 1, (n_inputs, widths[0]))
         li, j = failing_neuron
         failing = sample_params(reference_params(), MismatchSpec(),
-                                run_rng(mismatch_seed, li * 4096 + j))
+                                run_rng(mismatch_seed, li, j))
         # each rule fails a different set of the neuron's solves: the SAR
         # trials and the quiescent point, the readout, or one readout sign
         fails = {None: lambda i_in: False, "at zero": lambda i_in: i_in == 0.0,
@@ -297,7 +297,7 @@ class TestCalibrateOnce:
         # a failed SAR (its first trial is the MSB, code 32) is listed on
         # every input; no neuron is solved per input, so nothing else fails
         layers = [mapped([[1.0, -0.5], [-0.75, 0.25]])]
-        failing = sample_params(reference_params(), MismatchSpec(), run_rng(3, 1))
+        failing = sample_params(reference_params(), MismatchSpec(), run_rng(3, 0, 1))
 
         def solve_dc_failing(p, i_in=0.0, code=0):
             if p == failing and fail_when(i_in):
@@ -330,16 +330,21 @@ class TestCalibrateOnce:
         with pytest.raises(FrozenInstanceError):
             ctx.mismatch_seed = 1
 
-    def test_layer_wider_than_mismatch_stream_rejected(self, monkeypatch):
-        # neuron 4096 of layer 1 would draw the stream of neuron 0 of layer 2
-        layers = [mapped([[1.0]]), mapped(np.ones((4097, 1)))]
-        calls = self._count_calls(monkeypatch, "solve_dc")
-        ctx = self._ctx(0, nonideal=None)
-        with pytest.raises(ValueError, match="layer 1 has 4097 outputs"):
-            infer(layers, np.ones(1), Fidelity.CIRCUIT_NONIDEAL, ctx)
-        assert not calls
-        # CIRCUIT_IDEAL draws no mismatch stream, so the width is fine
-        assert len(infer(layers, np.ones(1), Fidelity.CIRCUIT_IDEAL, ctx).bits[1]) == 4097
+    def test_wide_layers_draw_distinct_neurons(self, monkeypatch):
+        # on the retired stream li * 4096 + j, neuron 4096 of layer 0 drew
+        # the parameters of neuron 0 of layer 1
+        drawn = []
+
+        def sample_recorded(nominal, spec, rng):
+            drawn.append(sample_params(nominal, spec, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(network, "sample_params", sample_recorded)
+        ctx = self._ctx(0)
+        network._calibration_failures(ctx, 0, 4096)
+        network._calibration_failures(ctx, 1, 0)
+        assert drawn[0] != drawn[1]
+        assert drawn[0] == sample_params(reference_params(), MismatchSpec(), run_rng(0, 0, 4096))
 
 
 class TestComparatorReadout:
@@ -372,7 +377,7 @@ class TestComparatorReadout:
         # the zero-input solves of one neuron fail, so its SAR fails
         li_fail, j_fail = failing_neuron
         failing = sample_params(reference_params(), spec,
-                                run_rng(mismatch_seed, li_fail * 4096 + j_fail))
+                                run_rng(mismatch_seed, li_fail, j_fail))
 
         def solve_dc_failing(p, i_in=0.0, code=0):
             if p == failing and i_in == 0.0:
