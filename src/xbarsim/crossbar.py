@@ -9,16 +9,15 @@ resistance. A zero-ohm row wire merges its row into the driver, and a
 zero-ohm column wire its column into the terminal, so the all-ideal case has
 no unknowns and reduces to the matrix-vector product.
 
-A tile too small to fill two groups of consecutive rows is one dense solve.
-A larger one is solved in two layers: one Thomas sweep over chain
-positions, across all rows, condenses each row's chain to a dense
-cols x cols block on its column-side nodes, then block elimination over the
-row groups solves the column side alone (the column wires couple only
-neighbouring groups, and the terminals border the last). Both solves return
-the chain, column-side and terminal voltages, from which the neuron currents
-and both Tellegen powers follow. Live in memory are one chunk of condensed
-rows (a few MB at most) and the sweep solutions kept for back-substitution,
-rows x cols x (cols + 1) doubles.
+A tile too small to fill two runs of MIN_GROUP_UNKNOWNS unknowns is one
+dense solve. A larger one is solved in two layers: one Thomas sweep over
+chain positions condenses each row's chain to a dense cols x cols block on
+its column-side nodes; then, as column wires couple only neighbouring rows,
+one sweep down the rows solves the column side with each row's block as a
+pivot and back-substitutes up from the last row. Both solves return the
+chain, column-side and terminal voltages, from which the neuron currents
+and both Tellegen powers follow. Live in memory are CHUNK_ROWS condensed
+rows and each row's solve, rows x cols x (cols + 1) doubles.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _solve
 
 
 class ExcitationMode(Enum):
@@ -146,14 +146,15 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
     return G.g.T @ v_rows
 
 
-# Fewest unknowns in one row group, counting both wire layers; a tile whose
-# rows cannot fill two groups is one dense solve, which there ran 1.8-2.4x
-# faster than the two-layer solve (8x4 network tile). From a sweep of the
-# solve time over tile shapes (CHANGES.md): 48 and 64 were ~20% faster on
-# the bench's tiles, but they speed up the 16x8 network tile too, and
-# bench/run.py keeps every pass, so infer_nonideal's peak memory reached its
-# +10% bound. At 96 the two-layer solve spends ~8% of it (CHANGES.md).
+# A tile whose rows cannot fill two runs of MIN_GROUP_UNKNOWNS unknowns is
+# one dense solve: below about 150 unknowns one LAPACK call beats the row
+# sweep's per-row overhead (8x4 network tile: 84 vs 139 us), and from about
+# 170 the sweep wins (16x8 network tile: 235 vs 738 us; CHANGES.md).
 MIN_GROUP_UNKNOWNS = 96
+# Rows condensed at a time. Each chunk runs the Thomas sweep's Python loop
+# once, and its blocks are live beside every row's solve: a 48x48 tile takes
+# 3.9 ms and peaks at 2.1 MB traced, as one chunk 3.4 ms and 3.0 MB (CHANGES.md).
+CHUNK_ROWS = 16
 
 
 def _chain_solve(m, piv, w, x):
@@ -203,17 +204,20 @@ def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
     return v[at], v[col] if r_col > 0.0 else np.broadcast_to(v_term, (rows, cols)), v_term
 
 
-def _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term, span, n_groups):
-    """Solve a tile of several row groups in two layers (module docstring).
+def _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term):
+    """Solve a tile too large for _dense in two layers (module docstring).
 
     Chain position pos[j] ties to column j through g[i, j]. Condensing row
     i's chain T_i leaves diag(g_i) - g_i T_i^-1 g_i on its column side, fed
     by g_i T_i^-1 e_0 per unit of drive. That block's diagonal is summed
     from its row sums (the conductance to a voltage driver, or 0), which has
     no cancellation, so charge is conserved to rounding. With ideal column
-    wires the column side is the free terminals alone. Returns the chain
-    voltages (L x rows), the column-side voltages (rows x cols) and the
-    terminal voltages (0 where grounded).
+    wires the column side is the free terminals alone. Otherwise row i's
+    pivot is its block plus its column-wire links, less w_c^2 times the
+    row above's pivot inverse; a free terminal is eliminated in closed form,
+    its feed and termination in series. Returns the chain voltages
+    (L x rows), the column-side voltages (rows x cols) and the terminal
+    voltages (0 where grounded).
     """
     rows, cols = g.shape
     d, w_r, pos, unit = chain
@@ -222,69 +226,61 @@ def _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term, span, n_group
     for t in range(1, L):                 # its links, so every pivot is positive
         m[t] = w_r / piv[t - 1]
         piv[t] -= m[t] * w_r
-    bounds = np.append(np.arange(n_groups) * span, rows)  # group j: rows bounds[j]:bounds[j + 1]
-    per_chunk = max(1, (1 << 18) // (span * (cols + 1)) ** 2)
     diag = np.arange(cols)
+    link = np.zeros((rows, cols))  # each column-side node's column-wire links
+    if r_col > 0.0:
+        w_c = 1.0 / r_col
+        link[0], link[1:] = w_c, 2 * w_c
+        link[-1, ends] = w_c + w_c * g_term / (w_c + g_term)
 
-    def condensed():  # each group's row blocks (n x cols x cols) and drives (n x cols)
-        for j in range(n_groups):
-            if j % per_chunk == 0:
-                r0, r1 = bounds[j], bounds[min(j + per_chunk, n_groups)]
-                if L:
-                    y = np.zeros((L, r1 - r0, cols + 1))
-                    y[pos, :, diag] = g[r0:r1].T
-                    y[0, :, -1] = unit
-                    _chain_solve(m[:, r0:r1], piv[:, r0:r1], w_r, y)
-                    y = g[r0:r1, :, None] * y[pos].transpose(1, 0, 2)
-                else:  # fixed drivers feed the column side directly
-                    y = np.zeros((r1 - r0, cols, cols + 1))
-                    y[:, :, -1] = g[r0:r1]
-                y[:, diag, diag] = 0.0
-                block = -y[:, :, :-1]
-                block[:, diag, diag] = y[:, :, :-1].sum(2) + (y[:, :, -1] if voltage_mode else 0.0)
-                fed = y[:, :, -1] * drive[r0:r1, None]
-            yield block[bounds[j] - r0:bounds[j + 1] - r0], fed[bounds[j] - r0:bounds[j + 1] - r0]
+    def condensed():  # each chunk's first row, row blocks (n x cols x cols) and drives (n x cols)
+        for r0 in range(0, rows, CHUNK_ROWS):
+            r1 = min(r0 + CHUNK_ROWS, rows)
+            if L:
+                y = np.zeros((L, r1 - r0, cols + 1))
+                y[pos, :, diag] = g[r0:r1].T
+                y[0, :, -1] = unit
+                _chain_solve(m[:, r0:r1], piv[:, r0:r1], w_r, y)
+                # pos is a run of positions, or one position that every column ties to
+                y = g[r0:r1, :, None] * y[pos[0]:pos[-1] + 1].transpose(1, 0, 2)
+            else:  # fixed drivers feed the column side directly
+                y = np.zeros((r1 - r0, cols, cols + 1))
+                y[:, :, -1] = g[r0:r1]
+            y[:, diag, diag] = 0.0
+            block, fed = y[:, :, :-1], y[:, :, -1]
+            ground = block.sum(2) + (fed if voltage_mode else 0.0) + link[r0:r1]
+            np.negative(block, out=block)
+            block[:, diag, diag] = ground
+            yield r0, block, fed * drive[r0:r1, None]
 
     v_term = np.zeros(cols)
     if r_col == 0.0:
         a, b = np.zeros((cols, cols)), np.zeros(cols)
-        for block, fed in condensed():
+        for _, block, fed in condensed():
             a += block.sum(0)
             b += fed.sum(0)
         a[ends, ends] += g_term
         v_term[ends] = np.linalg.solve(a[np.ix_(ends, ends)], b[ends])
         v_col = np.broadcast_to(v_term, (rows, cols))
     else:
-        w_c = 1.0 / r_col
-        sweep = []
-        for j, (block, fed) in enumerate(condensed()):
-            n, last = block.size // cols, j == n_groups - 1
-            a = np.zeros((n + ends.size * last,) * 2)
-            b = np.zeros((len(a), 1 if last else cols + 1))
-            at = np.arange(len(block))[:, None, None] * cols + diag[:, None]
-            a[at, at.transpose(0, 2, 1)] = block
-            at = np.arange(n)  # the top row's column wires link down only
-            a[at, at] += np.where(bounds[j] * cols + at < cols, w_c, 2 * w_c)
-            a[at[:-cols], at[cols:]] = a[at[cols:], at[:-cols]] = -w_c
-            b[:n, -1] = fed.ravel()
-            if j:  # Schur update from the group above
-                a[:cols, :cols] -= w_c * sweep[-1][-cols:, :-1]
-                b[:cols, -1] += w_c * sweep[-1][-cols:, -1]
-            if last:  # the free terminals border the last row
-                at = n + np.arange(ends.size)
-                a[at, at] = w_c + g_term
-                a[at, n - cols + ends] = a[n - cols + ends, at] = -w_c
-            else:  # solved for the coupling w_c to the next group's first row
-                b[n - cols + diag, diag] = w_c
-            sweep.append(np.linalg.solve(a, b))
-        out = np.empty(rows * cols + ends.size)
-        out[bounds[-2] * cols:] = sweep.pop()[:, 0]
-        for j in reversed(range(n_groups - 1)):
-            s = sweep.pop()
-            out[bounds[j] * cols:bounds[j + 1] * cols] = \
-                s[:, -1] + s[:, :-1] @ out[bounds[j + 1] * cols:][:cols]
-        v_col = out[:rows * cols].reshape(rows, cols)
-        v_term[ends] = out[rows * cols:]
+        s = np.zeros((rows, cols, cols + 1))  # row i's pivot solved for [w_c I | fed]
+        s[:, diag, diag] = w_c
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            try:
+                for r0, block, fed in condensed():
+                    s[r0:r0 + len(fed), :, -1] = fed
+                    for i, a in enumerate(block, r0):
+                        if i:  # Schur update from the row above
+                            up = w_c * s[i - 1]
+                            a -= up[:, :-1]
+                            s[i, :, -1] += up[:, -1]
+                        _solve(a, s[i], out=s[i], signature="dd->d")
+            except FloatingPointError as e:  # LAPACK met a singular pivot
+                raise np.linalg.LinAlgError("Singular matrix") from e
+        v_col = s[:, :, -1]  # back-substituted in place, up from the last row
+        for i in range(rows - 2, -1, -1):
+            v_col[i] += s[i, :, :-1] @ v_col[i + 1]
+        v_term[ends] = w_c * v_col[-1, ends] / (w_c + g_term)
     if not L:
         return np.zeros((0, rows)), v_col, v_term
     x = np.zeros((L, rows, 1))
@@ -341,16 +337,20 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
         node = 1 + int(np.flatnonzero(np.append(unknown, r_neuron > 0.0))[np.argmin(diag)])
         raise SingularNetworkError(f"floating node (supernode {node}) has no conductance "
                                    "to the rest of the network", node=node)
+    # open row wires leave an open-terminated column no path to a fixed potential
+    if voltage_mode and np.isinf(r_row) and r_col < np.inf and np.any(np.isinf(r_neuron)):
+        j = int(np.argmax(np.isinf(r_neuron)))
+        node = 1 + rows + 2 * rows * cols + j  # its terminal
+        raise SingularNetworkError(f"floating column {j} (supernode {node}): its termination "
+                                   "and the row wires are open", node=node)
 
-    # row groups: runs of consecutive rows holding at least MIN_GROUP_UNKNOWNS
-    # unknowns (every row holds as many), the leftover rows joining the last
+    # one dense solve unless the rows fill two runs of MIN_GROUP_UNKNOWNS unknowns
     per_row = lead + cols * ((r_row > 0.0) + (r_col > 0.0))
-    span = -(-MIN_GROUP_UNKNOWNS // per_row) if per_row else rows
-    n_groups = max(rows // span, 1)
     try:
         v_chain, v_col, v_term = (
-            _dense(g, drive, voltage_mode, chain, r_col, ends, diag) if n_groups == 1 else
-            _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term, span, n_groups))
+            _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term)
+            if per_row and rows >= 2 * -(-MIN_GROUP_UNKNOWNS // per_row) else
+            _dense(g, drive, voltage_mode, chain, r_col, ends, diag))
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 

@@ -17,10 +17,11 @@ nodal solve that the crossbar's row-group block elimination replaced;
 that the float64 solves can be measured against an exact answer.
 ``reference_block_solve`` is that elimination as it first landed, with
 every group's block and coupling stamped before the sweep, kept to check
-that the streamed sweep agrees with it bit for bit. ``chain_solve_dc``
-solves the neuron in KCL order, one bracketed scalar root at a time, and
-finds every operating point, so a converged ``solve_dc`` can be checked
-against it; ``kcl_residual`` measures a point's KCL residual.
+the crossbar solve against it, bit for bit on tiles of one group.
+``chain_solve_dc`` solves the neuron in KCL order, one bracketed scalar
+root at a time, and finds every operating point, so a converged
+``solve_dc`` can be checked against it; ``kcl_residual`` measures a
+point's KCL residual.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from xbarsim.crossbar import (MIN_GROUP_UNKNOWNS, ConductanceMatrix, Excitation,
-                              ExcitationMode, NodalSolution, NonIdealSpec,
-                              SingularNetworkError)
+from xbarsim.crossbar import (ConductanceMatrix, Excitation, ExcitationMode,
+                              NodalSolution, NonIdealSpec, SingularNetworkError)
 from xbarsim.devices import MosEval, MosParams, Region
 from xbarsim.montecarlo import run_rng, sample_params
 from xbarsim.neuron import (KCL_TOL, MAX_HALVINGS, MAX_ITER, OperatingPoint, RgcParams,
@@ -274,6 +274,12 @@ def _reference_eliminate(blocks, b, start, off, p, q, entry) -> np.ndarray:
     return x
 
 
+# reference_block_solve's fewest unknowns per row group: the package's
+# MIN_GROUP_UNKNOWNS when the elimination landed, fixed here so that
+# retuning the package leaves the reference as it was
+REFERENCE_GROUP_UNKNOWNS = 96
+
+
 def reference_block_solve(G: ConductanceMatrix, x: Excitation,
                           spec: NonIdealSpec) -> NodalSolution:
     """The row-group block elimination that stamped every group's block and
@@ -328,12 +334,13 @@ def reference_block_solve(G: ConductanceMatrix, x: Excitation,
         v[src] = x.values
     unknown = np.flatnonzero(is_unknown)
 
-    # row groups: runs of consecutive rows holding at least MIN_GROUP_UNKNOWNS
-    # unknowns (every row holds as many), the leftover rows and the neuron
-    # terminals joining the last group. Unknowns are ordered by group, then by
-    # node id, so a single group is the whole system in node-id order.
+    # row groups: runs of consecutive rows holding at least
+    # REFERENCE_GROUP_UNKNOWNS unknowns (every row holds as many), the leftover
+    # rows and the neuron terminals joining the last group. Unknowns are ordered
+    # by group, then by node id, so a single group is the whole system in
+    # node-id order.
     per_row = (not voltage_mode) + cols * ((spec.r_wire_row > 0.0) + (spec.r_wire_col > 0.0))
-    span = -(-MIN_GROUP_UNKNOWNS // per_row) if per_row else rows
+    span = -(-REFERENCE_GROUP_UNKNOWNS // per_row) if per_row else rows
     n_groups = max(rows // span, 1)
     size = np.array([unknown.size])  # unknowns per group
     if n_groups > 1:

@@ -224,6 +224,19 @@ class TestNodalProperties:
                                      NonIdealSpec(1.0, math.inf, math.inf))
         assert isinstance(e.value.node, int)
 
+    @pytest.mark.parametrize("rows,r_col,split", [
+        (3, 2.0, False), (30, 2.0, True), (3, 0.0, False), (60, 0.0, True)])
+    def test_floating_column_reported(self, rows, r_col, split):
+        # open row wires tie each cross-point to its column only, so column 1,
+        # whose termination is open, reaches no fixed potential
+        rng = np.random.default_rng(rows)
+        G = random_gmat(rng, rows, 4)
+        x = voltage_excitation(rng.uniform(0.0, 1.0, rows))
+        assert solve_split(G, x, NonIdealSpec(math.inf, r_col, 100.0))[1] == split
+        with pytest.raises(SingularNetworkError, match=r"^floating column 1 ") as e:
+            output_currents_nonideal(G, x, NonIdealSpec(math.inf, r_col, [100, math.inf, 0, 1e3]))
+        assert e.value.node == 1 + rows + 2 * rows * 4 + 1  # its terminal
+
     @pytest.mark.parametrize("spec", [
         NonIdealSpec(5.0, 5.0, math.inf), NonIdealSpec(5.0, 0.0, math.inf),
         NonIdealSpec(0.0, 0.0, math.inf), NonIdealSpec(5.0, math.inf, 1e3),
@@ -242,15 +255,15 @@ def solve_split(G, x, spec):
 
 
 # sampled_from draws rows and columns near-uniformly, so about a quarter of
-# the tiles are several groups
+# the default tiles are several groups
 @st.composite
-def tiles(draw, min_rows=1):
-    """A random tile: voltage or current drive, wires of 0 or finite ohms,
-    and terminations mixing 0, finite and open."""
-    rows, cols = draw(st.sampled_from(range(min_rows, 41))), draw(st.sampled_from(range(1, 13)))
+def tiles(draw, rows=range(1, 41), cols=range(1, 13), wire=wires_or_zero):
+    """A random tile: voltage or current drive, wires drawn from wire, and
+    terminations mixing 0, finite and open."""
+    rows, cols = draw(st.sampled_from(rows)), draw(st.sampled_from(cols))
     rng = np.random.default_rng(draw(seeds))
     excite = draw(st.sampled_from([voltage_excitation, current_excitation]))
-    r_row, r_col = draw(wires_or_zero), draw(wires_or_zero)
+    r_row, r_col = draw(wire), draw(wire)
     p_zero, p_open = draw(st.sampled_from([0.0, 0.3])), draw(st.sampled_from([0.0, 0.3]))
     G = random_gmat(rng, rows, cols)
     drive = rng.uniform(0, 1, rows) if excite is voltage_excitation else \
@@ -329,7 +342,7 @@ class TestBlockSolve:
         assert (sol.p_source, sol.p_dissipated) == (ref.p_source, ref.p_dissipated)
 
     @settings(max_examples=200, deadline=None)
-    @given(tiles(min_rows=20))
+    @given(tiles(rows=range(20, 41)))
     def test_two_layer_matches_both_references(self, tile):
         G, x, spec = tile
         refs = [reference_or_same_error(r, G, x, spec)
@@ -339,6 +352,19 @@ class TestBlockSolve:
         sol = output_currents_nonideal(G, x, spec)
         for ref in refs:
             assert_close(sol, ref)
+
+    # short and wide: up to about 820 dense unknowns, every row a block of
+    # 24 to 48 columns
+    @settings(max_examples=100, deadline=None)
+    @given(tiles(rows=range(4, 9), cols=range(24, 49), wire=wires))
+    def test_wide_tiles_match_dense_reference(self, tile):
+        G, x, spec = tile
+        ref = reference_or_same_error(reference_solve_network, G, x, spec)
+        if ref is None:
+            return
+        sol, split = solve_split(G, x, spec)
+        assert split
+        assert_close(sol, ref)
 
     @pytest.mark.parametrize("spec", [NonIdealSpec(0.0, 0.0, [100.0, 0.0, math.inf, 1e3]),
                                       NonIdealSpec(0.0, 2.0, [100.0, 0.0, math.inf, 1e3])])
