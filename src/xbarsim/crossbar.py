@@ -11,13 +11,15 @@ no unknowns and reduces to the matrix-vector product.
 
 A tile too small to fill two runs of MIN_GROUP_UNKNOWNS unknowns is one
 dense solve. A larger one is solved in two layers: one Thomas sweep over
-chain positions condenses each row's chain to a dense cols x cols block on
+chain positions condenses every row's chain to a dense cols x cols block on
 its column-side nodes; then, as column wires couple only neighbouring rows,
 one sweep down the rows solves the column side with each row's block as a
-pivot and back-substitutes up from the last row. Both solves return the
-chain, column-side and terminal voltages, from which the neuron currents
-and both Tellegen powers follow. Live in memory are CHUNK_ROWS condensed
-rows and each row's solve, rows x cols x (cols + 1) doubles.
+pivot, each row's solve overwriting its block, and back-substitutes up from
+the last row. The chain voltages follow from the column side's through the
+condensation. Both solves return the chain, column-side and terminal
+voltages, from which the neuron currents and both Tellegen powers follow.
+Live in memory are two arrays: the chains' solutions, L x rows x (cols + 1)
+doubles for a chain of L nodes, and the sweep's, rows x cols x (cols + 1).
 """
 
 from __future__ import annotations
@@ -147,26 +149,13 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
 
 
 # A tile whose rows cannot fill two runs of MIN_GROUP_UNKNOWNS unknowns is
-# one dense solve: below about 150 unknowns one LAPACK call beats the row
-# sweep's per-row overhead (8x4 network tile: 84 vs 139 us), and from about
-# 170 the sweep wins (16x8 network tile: 235 vs 738 us; CHANGES.md).
+# one dense solve. First quartiles of 300 calls, dense vs swept (CHANGES.md):
+# up to 128 unknowns one LAPACK call wins (8x4 network tile: 85 vs 122 us),
+# from 144 the row sweep does (6x12: 194 vs 168 us; 11x8: 340 vs 172 us;
+# 16x8 network tile: 725 vs 208 us). Splitting at 144 unknowns in all would
+# sweep such tiles too, but hands more weakly grounded tiles to the tests'
+# float64 references, which miss them by up to a few 1e-10 (ROADMAP item 15).
 MIN_GROUP_UNKNOWNS = 96
-# Rows condensed at a time. Each chunk runs the Thomas sweep's Python loop
-# once, and its blocks are live beside every row's solve: a 48x48 tile takes
-# 3.9 ms and peaks at 2.1 MB traced, as one chunk 3.4 ms and 3.0 MB (CHANGES.md).
-CHUNK_ROWS = 16
-
-
-def _chain_solve(m, piv, w, x):
-    """Solve Thomas-factored tridiagonal chains (multipliers m, pivots piv,
-    links -w) in place for the right-hand sides x[t] at each position t."""
-    for t in range(1, len(x)):
-        x[t] += m[t, :, None] * x[t - 1]
-    x[-1] /= piv[-1, :, None]
-    for t in range(len(x) - 2, -1, -1):
-        x[t] += w * x[t + 1]
-        x[t] /= piv[t, :, None]
-    return x
 
 
 def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
@@ -207,86 +196,82 @@ def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
 def _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term):
     """Solve a tile too large for _dense in two layers (module docstring).
 
-    Chain position pos[j] ties to column j through g[i, j]. Condensing row
-    i's chain T_i leaves diag(g_i) - g_i T_i^-1 g_i on its column side, fed
-    by g_i T_i^-1 e_0 per unit of drive. That block's diagonal is summed
-    from its row sums (the conductance to a voltage driver, or 0), which has
-    no cancellation, so charge is conserved to rounding. With ideal column
-    wires the column side is the free terminals alone. Otherwise row i's
-    pivot is its block plus its column-wire links, less w_c^2 times the
-    row above's pivot inverse; a free terminal is eliminated in closed form,
-    its feed and termination in series. Returns the chain voltages
-    (L x rows), the column-side voltages (rows x cols) and the terminal
-    voltages (0 where grounded).
+    Chain position pos[j] ties to column j through g[i, j]. One Thomas sweep
+    solves every row's chain T_i for y_i = T_i^-1 [g_i | unit e_0], which
+    condenses it to diag(g_i) - g_i y_i on its column side, fed by g_i T_i^-1
+    e_0 per unit of drive, and later gives its voltages from the column
+    side's. That block's diagonal is summed from its row sums (the
+    conductance to a voltage driver, or 0), which has no cancellation, so
+    charge is conserved to rounding. With ideal column wires the column side
+    is the free terminals alone. Otherwise row i's pivot is its block plus
+    its column-wire links, less w_c^2 times the row above's pivot inverse; a
+    free terminal is eliminated in closed form, its feed and termination in
+    series. Returns the chain voltages (L x rows), the column-side voltages
+    (rows x cols) and the terminal voltages (0 where grounded).
     """
     rows, cols = g.shape
     d, w_r, pos, unit = chain
     L = len(d)
-    m, piv = np.zeros_like(d), d.copy()  # Thomas factors; each diagonal exceeds
-    for t in range(1, L):                 # its links, so every pivot is positive
-        m[t] = w_r / piv[t - 1]
-        piv[t] -= m[t] * w_r
     diag = np.arange(cols)
+    if L:
+        y = np.zeros((L, rows, cols + 1))
+        y[pos, :, diag] = g.T
+        y[0, :, -1] = unit
+        piv = d.copy()  # each diagonal exceeds its links, so every pivot is positive
+        for t in range(1, L):
+            m = w_r / piv[t - 1]
+            piv[t] -= m * w_r
+            y[t] += m[:, None] * y[t - 1]
+        y[-1] /= piv[-1, :, None]
+        for t in range(L - 2, -1, -1):
+            y[t] += w_r * y[t + 1]
+            y[t] /= piv[t, :, None]
+        # pos is a run of positions, or one position that every column ties to
+        c = g[:, :, None] * y[pos[0]:pos[-1] + 1].transpose(1, 0, 2)
+    else:  # fixed drivers feed the column side directly
+        c = np.zeros((rows, cols, cols + 1))
+        c[:, :, -1] = g
+    c[:, diag, diag] = 0.0
+    block, fed = c[:, :, :-1], c[:, :, -1]  # each row's block and what it is fed
     link = np.zeros((rows, cols))  # each column-side node's column-wire links
     if r_col > 0.0:
         w_c = 1.0 / r_col
         link[0], link[1:] = w_c, 2 * w_c
         link[-1, ends] = w_c + w_c * g_term / (w_c + g_term)
-
-    def condensed():  # each chunk's first row, row blocks (n x cols x cols) and drives (n x cols)
-        for r0 in range(0, rows, CHUNK_ROWS):
-            r1 = min(r0 + CHUNK_ROWS, rows)
-            if L:
-                y = np.zeros((L, r1 - r0, cols + 1))
-                y[pos, :, diag] = g[r0:r1].T
-                y[0, :, -1] = unit
-                _chain_solve(m[:, r0:r1], piv[:, r0:r1], w_r, y)
-                # pos is a run of positions, or one position that every column ties to
-                y = g[r0:r1, :, None] * y[pos[0]:pos[-1] + 1].transpose(1, 0, 2)
-            else:  # fixed drivers feed the column side directly
-                y = np.zeros((r1 - r0, cols, cols + 1))
-                y[:, :, -1] = g[r0:r1]
-            y[:, diag, diag] = 0.0
-            block, fed = y[:, :, :-1], y[:, :, -1]
-            ground = block.sum(2) + (fed if voltage_mode else 0.0) + link[r0:r1]
-            np.negative(block, out=block)
-            block[:, diag, diag] = ground
-            yield r0, block, fed * drive[r0:r1, None]
+    ground = block.sum(2) + (fed if voltage_mode else 0.0) + link
+    np.negative(block, out=block)
+    block[:, diag, diag] = ground
+    fed *= drive[:, None]
 
     v_term = np.zeros(cols)
     if r_col == 0.0:
-        a, b = np.zeros((cols, cols)), np.zeros(cols)
-        for _, block, fed in condensed():
-            a += block.sum(0)
-            b += fed.sum(0)
+        a, b = block.sum(0), fed.sum(0)
         a[ends, ends] += g_term
         v_term[ends] = np.linalg.solve(a[np.ix_(ends, ends)], b[ends])
         v_col = np.broadcast_to(v_term, (rows, cols))
-    else:
-        s = np.zeros((rows, cols, cols + 1))  # row i's pivot solved for [w_c I | fed]
-        s[:, diag, diag] = w_c
+    else:  # row i's solve [w_c I | fed'] overwrites its block and feed
+        b, up = np.zeros((cols, cols + 1)), np.empty((cols, cols + 1))
+        b[diag, diag] = w_c
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
             try:
-                for r0, block, fed in condensed():
-                    s[r0:r0 + len(fed), :, -1] = fed
-                    for i, a in enumerate(block, r0):
-                        if i:  # Schur update from the row above
-                            up = w_c * s[i - 1]
-                            a -= up[:, :-1]
-                            s[i, :, -1] += up[:, -1]
-                        _solve(a, s[i], out=s[i], signature="dd->d")
+                for i in range(rows):
+                    a = block[i]
+                    b[:, -1] = fed[i]
+                    if i:  # Schur update from the row above
+                        np.multiply(w_c, c[i - 1], out=up)
+                        a -= up[:, :-1]
+                        b[:, -1] += up[:, -1]
+                    _solve(a, b, out=c[i], signature="dd->d")
             except FloatingPointError as e:  # LAPACK met a singular pivot
                 raise np.linalg.LinAlgError("Singular matrix") from e
-        v_col = s[:, :, -1]  # back-substituted in place, up from the last row
+        v_col = fed  # back-substituted in place, up from the last row
         for i in range(rows - 2, -1, -1):
-            v_col[i] += s[i, :, :-1] @ v_col[i + 1]
+            v_col[i] += block[i] @ v_col[i + 1]
         v_term[ends] = w_c * v_col[-1, ends] / (w_c + g_term)
     if not L:
         return np.zeros((0, rows)), v_col, v_term
-    x = np.zeros((L, rows, 1))
-    x[0, :, 0] = unit * drive
-    np.add.at(x[:, :, 0], pos, (g * v_col).T)
-    return _chain_solve(m, piv, w_r, x)[:, :, 0], v_col, v_term
+    # T_i^-1 (unit drive e_0 + g_i v_col_i), read off the condensation
+    return y[..., -1] * drive + (y[..., None, :-1] @ v_col[..., None])[..., 0, 0], v_col, v_term
 
 
 def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,

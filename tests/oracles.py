@@ -13,8 +13,9 @@ monotone sweep to check that the two agree call for call.
 Newton solves that the neuron's Python-float solves replaced, kept to check
 that the two agree bit for bit. ``reference_solve_network`` is the dense
 nodal solve that the crossbar's row-group block elimination replaced;
-``exact_solve_network`` refines its solution in extended precision, so
-that the float64 solves can be measured against an exact answer.
+``exact_solve_network`` refines its solution against the circuit's branch
+currents, summed in extended precision, so that the float64 solves can be
+measured against an exact answer.
 ``reference_block_solve`` is that elimination as it first landed, with
 every group's block and coupling stamped before the sweep, kept to check
 the crossbar solve against it, bit for bit on tiles of one group.
@@ -117,11 +118,12 @@ def nodal_oracle_zero_wire(g, v_in, r_neuron):
 
 
 def reference_solve_network(G: ConductanceMatrix, x: Excitation,
-                            spec: NonIdealSpec, solve=np.linalg.solve) -> NodalSolution:
+                            spec: NonIdealSpec, refine: int = 0) -> NodalSolution:
     """The dense nodal solve that the row-group block elimination in
     ``crossbar.output_currents_nonideal`` replaced, kept verbatim: it assembles the
     whole n x n system in node-id order and factors it in one
-    ``np.linalg.solve`` call (``solve``, which exact_solve_network refines)."""
+    ``np.linalg.solve`` call. With ``refine`` > 0, exact_solve_network's
+    refinement follows."""
     rows, cols = G.n_rows, G.n_cols
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
@@ -180,8 +182,10 @@ def reference_solve_network(G: ConductanceMatrix, x: Excitation,
     np.add.at(A, (k[p[near]], k[p[near]]), gpq[near])
     np.add.at(A, (k[p[both]], k[q[both]]), -gpq[both])
     b = np.bincount(k[p[near]], gpq[near] * v[q[near]], minlength=unknown.size)
+    inject = np.zeros(n_nodes)  # each node's source current
     if not voltage_mode:
         b[k[src]] += x.values
+        inject[src] = x.values
 
     bad = np.flatnonzero(np.diag(A) == 0.0)
     if bad.size:
@@ -190,7 +194,9 @@ def reference_solve_network(G: ConductanceMatrix, x: Excitation,
             f"floating node (supernode {node}) has no conductance to the rest "
             "of the network", node=node)
     try:
-        v[unknown] = solve(A, b)
+        v[unknown] = np.linalg.solve(A, b)
+        for _ in range(refine):
+            v[unknown] += np.linalg.solve(A, _branch_residual(v, a, c, g, inject)[unknown])
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 
@@ -209,26 +215,32 @@ def reference_solve_network(G: ConductanceMatrix, x: Excitation,
                          p_dissipated=float(i_b @ dv))
 
 
-def _refined_solve(A, b, steps: int = 3) -> np.ndarray:
-    """np.linalg.solve, then ``steps`` rounds of iterative refinement: each
-    solves for a correction from the residual, computed in np.longdouble.
-    While cond(A) is well below 1/eps, each round shrinks the error by a
-    factor of about cond(A)*eps, down to float64 rounding (Golub and Van
-    Loan, Matrix Computations, section 3.5)."""
-    v = np.linalg.solve(A, b)
-    A_ext, b_ext = A.astype(np.longdouble), b.astype(np.longdouble)
-    for _ in range(steps):
-        v = v + np.linalg.solve(A, (b_ext - A_ext @ v).astype(float))
-    return v
+def _branch_residual(v, a, c, g, inject) -> np.ndarray:
+    """Each node's net inflow through the branches a -> c of conductance g at
+    node voltages v, plus its injected current inject, summed in
+    np.longdouble: the circuit's own KCL residual, free of the rounding in a
+    stamped diagonal."""
+    v, g = v.astype(np.longdouble), np.asarray(g, np.longdouble)
+    i_b = g * (v[a] - v[c])
+    r = inject.astype(np.longdouble)
+    np.add.at(r, c, i_b)
+    np.subtract.at(r, a, i_b)
+    return r.astype(float)
 
 
 def exact_solve_network(G: ConductanceMatrix, x: Excitation,
                         spec: NonIdealSpec) -> NodalSolution:
-    """reference_solve_network with its dense solve iteratively refined, so
-    that its node voltages solve the assembled system exactly to float64
-    rounding; the float64 solves can then be checked against that answer
-    instead of against each other."""
-    return reference_solve_network(G, x, spec, solve=_refined_solve)
+    """reference_solve_network with its dense solve iteratively refined: each
+    of 4 rounds solves the assembled matrix for a correction from
+    _branch_residual. The residual comes from the branch list, not from the
+    float64-assembled matrix, whose diagonals fl(g + w + w) each leak up to
+    half an ulp of a wire's conductance to ground; so the node voltages
+    solve the circuit itself to float64 rounding, and charge is conserved to
+    rounding. While cond(A) is well below 1/eps each round shrinks the error
+    by about cond(A)*eps (Golub and Van Loan, Matrix Computations, section
+    3.5). The float64 solves are checked against this answer instead of
+    against each other."""
+    return reference_solve_network(G, x, spec, refine=4)
 
 
 def _reference_eliminate(blocks, b, start, off, p, q, entry) -> np.ndarray:
