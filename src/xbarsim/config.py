@@ -82,8 +82,8 @@ def _dac(d: DacSpec) -> dict:
 
 
 def _choice(default: str, allowed) -> tuple:
-    """A string leaf restricted to the given values (an Enum class or strings)."""
-    return ("choice", default, tuple(getattr(a, "value", a) for a in allowed))
+    """A string leaf restricted to the values of an Enum class."""
+    return ("choice", default, tuple(a.value for a in allowed))
 
 
 # one entry of network.layers; it needs 'csv' or 'values'
@@ -104,7 +104,6 @@ MAX_COUNT = 10**6
 # the reference preset: every key the frontend understands, with its default
 # and, for a number, the bound it must meet
 _SCHEMA = {
-    "preset": _choice("reference", ("reference",)),
     "neuron": {
         "m1": _device(_NEURON.m1),
         "m2": _device(_NEURON.m2),
@@ -121,8 +120,6 @@ _SCHEMA = {
         "dac_out": _dac(_NEURON.dac_out),
     },
     "crossbar": {
-        "rows": ("int", 4, _within(1)),
-        "cols": ("int", 4, _within(1)),
         "g_min": ("eng", 1e-6, _POS),
         "g_max": ("eng", 1e-3, _POS),
         "csv": ("path_or_null", None),
@@ -130,9 +127,7 @@ _SCHEMA = {
     },
     "sar": {
         "nbits": ("int", 6, _within(1)),
-        "t_step": ("eng", 1e-6, _POS),
         "vref_in": ("eng", 0.65, _FINITE),
-        "vref_out": ("eng", 0.95, _FINITE),
         "grid_points": ("int", 2001, _within(1, MAX_COUNT)),
         "grid_n": ("int", 16, _EXPONENT),
     },

@@ -301,7 +301,7 @@ def test_acceptance_8_energy_arithmetic():
     ok = ok and demo.ratio >= 100
 
     cfg = parse_config(json.dumps({
-        "crossbar": {"rows": 64, "cols": 64, "g_min": "0.1u", "g_max": "10u",
+        "crossbar": {"g_min": "0.1u", "g_max": "10u",
                      "values": [[f"{x:.6g}" for x in row] for row in g]},
         "network": {"g_min": "0.1u", "g_max": "10u"},
     }))

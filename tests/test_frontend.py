@@ -206,6 +206,12 @@ MALFORMED = [
     # digits outside ASCII, which float() and Decimal() would take
     ({"neuron": {"ib": "\uff15u"}}, "neuron.ib: cannot parse"),
     ({"neuron": {"ib": "\u0665"}}, "neuron.ib: cannot parse"),
+    # keys that nothing read, deleted: a valid value is now an unknown key
+    ({"preset": "reference"}, "preset"),
+    ({"crossbar": {"rows": 4}}, "crossbar.rows"),
+    ({"crossbar": {"cols": 4}}, "crossbar.cols"),
+    ({"sar": {"t_step": "1u"}}, "sar.t_step"),
+    ({"sar": {"vref_out": 0.95}}, "sar.vref_out"),
 ]
 
 
@@ -240,9 +246,9 @@ class TestMalformedConfigs:
             main(["--format", "xml", "op"])
 
     def test_layer_digest_unchanged(self, tmp_path):
-        # resolved layer entries keep their keys and values, so the digest
-        # of a valid layered config is the one recorded before the layer
-        # entries were validated through the schema walker
+        # resolved layer entries keep their keys and values, so a valid
+        # layered config hashes to a fixed digest; it and the default
+        # config's digest move only when a key joins or leaves the schema
         (tmp_path / "w.csv").write_text("1,2\n")
         doc = {"network": {"layers": [{"values": [[1, "-0.5"], ["250m", 0.75]],
                                        "activation": "linear"},
@@ -254,9 +260,9 @@ class TestMalformedConfigs:
         assert cfg["network"]["layers"][1] == {"csv": "w.csv", "values": None,
                                                "activation": "threshold"}
         assert config_digest(cfg.data) == \
-            "60b6ce2af3ba07c4b3477c3673ec9f3e02007b260bcd8537d4a715c6baf664d5"
+            "e41b7b99fc1b622ca27411bc35edf8fda475354243f044c04b928328f9aac48a"
         assert config_digest(parse_config("{}").data) == \
-            "81fd1570f4b7a1ebe44e5957bf820d5a87c9bf366ce98aeed1fbbc7f3ee317aa"
+            "18b5ce3d4f03cb3438c490115a32b53badec0b67fe2cbc374af0d42cfa2a675b"
 
 
 # data files that parse as config but hold bad contents, each with the kind
