@@ -20,6 +20,14 @@ condensation. Both solves return the chain, column-side and terminal
 voltages, from which the neuron currents and both Tellegen powers follow.
 Live in memory are two arrays: the chains' solutions, L x rows x (cols + 1)
 doubles for a chain of L nodes, and the sweep's, rows x cols x (cols + 1).
+
+A ConductanceMatrix may also be a stack of k same-shape tiles, such as a
+layer's differential pair, solved under one drive and one spec. A swept
+stack is solved together: the set-up and the post-processing run once, with
+a leading tile axis, one chain condensation covers every tile's rows, and
+one LAPACK call covers the stack per row of the column-side sweep, its two
+live arrays k times as large. A stack of one-group tiles is solved tile by
+tile. Each tile's answer equals, bit for bit, its answer when solved alone.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ class SingularNetworkError(RuntimeError):
 class ConductanceMatrix:
     """rows x cols memristor conductances (Siemens); the stored weights.
 
+    A k x rows x cols array is a stack of k same-shape tiles, which
+    output_currents_nonideal solves together; n_rows and n_cols are per tile.
     Every entry must lie in the programmable window [g_min, g_max].
     """
 
@@ -57,8 +67,9 @@ class ConductanceMatrix:
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
-        if self.g.ndim != 2 or self.g.shape[0] < 1 or self.g.shape[1] < 1:
-            raise ValueError(f"conductance matrix must be 2-D, got shape {self.g.shape}")
+        if self.g.ndim not in (2, 3) or 0 in self.g.shape:
+            raise ValueError("conductance matrix must be 2-D, or a 3-D stack of tiles, "
+                             f"got shape {self.g.shape}")
         if not (0.0 < self.g_min <= self.g_max):
             raise ValueError(f"need 0 < g_min <= g_max, got {self.g_min}, {self.g_max}")
         # written so that NaN fails
@@ -67,11 +78,11 @@ class ConductanceMatrix:
 
     @property
     def n_rows(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-2]
 
     @property
     def n_cols(self) -> int:
-        return self.g.shape[1]
+        return self.g.shape[-1]
 
 
 @dataclass
@@ -118,18 +129,19 @@ class NonIdealSpec:
         if r.shape != (n_cols,):
             raise ValueError(f"r_neuron_in must be scalar or length {n_cols}")
         # written so that NaN fails; +inf (an open circuit) passes
-        if not (self.r_wire_row >= 0 and self.r_wire_col >= 0 and np.all(r >= 0)):
+        if not (self.r_wire_row >= 0 and self.r_wire_col >= 0 and (r >= 0).all()):
             raise ValueError("non-ideality resistances must be >= 0")
         return r
 
 
 @dataclass
 class NodalSolution:
-    """Result of a full resistive-network solve."""
+    """Result of a full resistive-network solve; for a stack of k tiles,
+    currents of shape k x cols and powers of shape k."""
 
     neuron_currents: np.ndarray
-    p_source: float
-    p_dissipated: float
+    p_source: float | np.ndarray
+    p_dissipated: float | np.ndarray
 
 
 def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
@@ -139,6 +151,8 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
     Current mode: each row's source current splits among its columns in
     proportion to the cross-point conductances.
     """
+    if G.g.ndim != 2:
+        raise ValueError(f"the ideal product takes one tile, got a stack of {G.g.shape[0]}")
     if x.values.shape[0] != G.n_rows:
         raise ValueError(f"excitation length {x.values.shape[0]} != rows {G.n_rows}")
     if x.mode is ExcitationMode.VOLTAGE:
@@ -162,7 +176,8 @@ def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
     """Solve a tile of one row group as one dense system, its unknowns in the
     dense reference's node order: the drivers in current mode, the row
     wires' and then the column wires' nodes row by row, then the free
-    terminals. Returns what _two_layer returns."""
+    terminals. Returns one tile's chain (L x rows), column-side (rows x cols)
+    and terminal voltages (cols, 0 where grounded)."""
     rows, cols = g.shape
     d, w_r, pos, unit = chain
     L, lead = len(d), int(not voltage_mode)
@@ -194,28 +209,31 @@ def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
 
 
 def _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term):
-    """Solve a tile too large for _dense in two layers (module docstring).
+    """Solve a stack of tiles too large for _dense in two layers (module
+    docstring), every tile at once.
 
-    Chain position pos[j] ties to column j through g[i, j]. One Thomas sweep
-    solves every row's chain T_i for y_i = T_i^-1 [g_i | unit e_0], which
-    condenses it to diag(g_i) - g_i y_i on its column side, fed by g_i T_i^-1
-    e_0 per unit of drive, and later gives its voltages from the column
-    side's. That block's diagonal is summed from its row sums (the
-    conductance to a voltage driver, or 0), which has no cancellation, so
-    charge is conserved to rounding. With ideal column wires the column side
-    is the free terminals alone. Otherwise row i's pivot is its block plus
-    its column-wire links, less w_c^2 times the row above's pivot inverse; a
-    free terminal is eliminated in closed form, its feed and termination in
-    series. Returns the chain voltages (L x rows), the column-side voltages
-    (rows x cols) and the terminal voltages (0 where grounded).
+    g is rows x k x cols, each row's k tiles in turn, and so are the chains:
+    chain i*k + t is tile t's row i. Chain position pos[j] ties to column j
+    through g[i, t, j]. One Thomas sweep solves every chain T for
+    y = T^-1 [g_row | unit e_0], which condenses it to diag(g_row) - g_row y
+    on its column side, fed by g_row T^-1 e_0 per unit of drive, and later
+    gives its voltages from the column side's. That block's diagonal is
+    summed from its row sums (the conductance to a voltage driver, or 0),
+    which has no cancellation, so charge is conserved to rounding. With
+    ideal column wires the column side is the free terminals alone.
+    Otherwise row i's pivot is its block plus its column-wire links, less
+    w_c^2 times the row above's pivot inverse; a free terminal is eliminated
+    in closed form, its feed and termination in series. Returns the chain
+    voltages (k x L x rows), the column-side voltages (k x rows x cols) and
+    the terminal voltages (k x cols, 0 where grounded).
     """
-    rows, cols = g.shape
+    rows, k, cols = g.shape
     d, w_r, pos, unit = chain
     L = len(d)
     diag = np.arange(cols)
     if L:
-        y = np.zeros((L, rows, cols + 1))
-        y[pos, :, diag] = g.T
+        y = np.zeros((L, rows * k, cols + 1))
+        y[pos, :, diag] = g.reshape(-1, cols).T
         y[0, :, -1] = unit
         piv = d.copy()  # each diagonal exceeds its links, so every pivot is positive
         for t in range(1, L):
@@ -226,52 +244,57 @@ def _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term):
         for t in range(L - 2, -1, -1):
             y[t] += w_r * y[t + 1]
             y[t] /= piv[t, :, None]
+        y = y.reshape(L, rows, k, cols + 1)
         # pos is a run of positions, or one position that every column ties to
-        c = g[:, :, None] * y[pos[0]:pos[-1] + 1].transpose(1, 0, 2)
+        c = g[..., None] * y[pos[0]:pos[-1] + 1].transpose(1, 2, 0, 3)
     else:  # fixed drivers feed the column side directly
-        c = np.zeros((rows, cols, cols + 1))
-        c[:, :, -1] = g
-    c[:, diag, diag] = 0.0
-    block, fed = c[:, :, :-1], c[:, :, -1]  # each row's block and what it is fed
+        c = np.zeros((rows, k, cols, cols + 1))
+        c[..., -1] = g
+    c[..., diag, diag] = 0.0
+    block, fed = c[..., :-1], c[..., -1]  # each row's blocks and what they are fed
     link = np.zeros((rows, cols))  # each column-side node's column-wire links
     if r_col > 0.0:
         w_c = 1.0 / r_col
         link[0], link[1:] = w_c, 2 * w_c
-        link[-1, ends] = w_c + w_c * g_term / (w_c + g_term)
-    ground = block.sum(2) + (fed if voltage_mode else 0.0) + link
+        # a free terminal's feed and termination in series, below its link up
+        link[-1, ends] = (w_c if rows > 1 else 0.0) + w_c * g_term / (w_c + g_term)
+    ground = block.sum(3) + (fed if voltage_mode else 0.0) + link[:, None]
     np.negative(block, out=block)
-    block[:, diag, diag] = ground
-    fed *= drive[:, None]
+    block[..., diag, diag] = ground
+    fed *= drive[:, None, None]
 
-    v_term = np.zeros(cols)
-    if r_col == 0.0:
-        a, b = block.sum(0), fed.sum(0)
-        a[ends, ends] += g_term
-        v_term[ends] = np.linalg.solve(a[np.ix_(ends, ends)], b[ends])
-        v_col = np.broadcast_to(v_term, (rows, cols))
-    else:  # row i's solve [w_c I | fed'] overwrites its block and feed
-        b, up = np.zeros((cols, cols + 1)), np.empty((cols, cols + 1))
-        b[diag, diag] = w_c
+    v_term = np.zeros((k, cols))
+    if r_col == 0.0:  # each tile's row sums alone: numpy sums one column's rows pairwise
+        a, b = (np.array([x[:, t].sum(0) for t in range(k)]) for x in (block, fed))
+        a[:, ends, ends] += g_term
+        v_term[:, ends] = np.linalg.solve(a[:, ends[:, None], ends], b[:, ends, None])[..., 0]
+        v_col = np.broadcast_to(v_term, (rows, k, cols))
+    else:  # row i's solves [w_c I | fed'] overwrite its blocks and feeds
+        b, up = np.zeros((k, cols, cols + 1)), np.empty((k, cols, cols + 1))
+        b[:, diag, diag] = w_c
+        b_fed, up_block, up_fed = b[..., -1], up[..., :-1], up[..., -1]
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
             try:
                 for i in range(rows):
                     a = block[i]
-                    b[:, -1] = fed[i]
+                    b_fed[...] = fed[i]
                     if i:  # Schur update from the row above
                         np.multiply(w_c, c[i - 1], out=up)
-                        a -= up[:, :-1]
-                        b[:, -1] += up[:, -1]
+                        a -= up_block
+                        b_fed += up_fed
                     _solve(a, b, out=c[i], signature="dd->d")
             except FloatingPointError as e:  # LAPACK met a singular pivot
                 raise np.linalg.LinAlgError("Singular matrix") from e
-        v_col = fed  # back-substituted in place, up from the last row
+        v = c[..., -1:]  # the feeds as columns, back-substituted in place up from the last row
         for i in range(rows - 2, -1, -1):
-            v_col[i] += block[i] @ v_col[i + 1]
-        v_term[ends] = w_c * v_col[-1, ends] / (w_c + g_term)
+            v[i] += block[i] @ v[i + 1]
+        v_col = fed
+        v_term[:, ends] = w_c * v_col[-1][:, ends] / (w_c + g_term)
     if not L:
-        return np.zeros((0, rows)), v_col, v_term
-    # T_i^-1 (unit drive e_0 + g_i v_col_i), read off the condensation
-    return y[..., -1] * drive + (y[..., None, :-1] @ v_col[..., None])[..., 0, 0], v_col, v_term
+        return np.zeros((k, 0, rows)), v_col.transpose(1, 0, 2), v_term
+    # T^-1 (unit drive e_0 + g_row v_col_row), read off the condensation
+    v_chain = y[..., -1] * drive[:, None] + (y[..., None, :-1] @ v_col[..., None])[..., 0, 0]
+    return v_chain.transpose(2, 0, 1), v_col.transpose(1, 0, 2), v_term
 
 
 def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
@@ -280,15 +303,32 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
 
     With an all-zero spec every node merges into a driver or a neuron terminal,
     so this reproduces the ideal dot product to rounding (no tiny resistors).
+    A stack of k tiles is solved under the one drive and spec (module
+    docstring) and returns k rows of currents and k of each power, each
+    equal to that tile's solution alone; a singular tile raises its own error.
     """
+    return _nodal(G, x, spec)
+
+
+def _nodal(G, x, spec):
+    """output_currents_nonideal, which a stack of one-group tiles calls once per
+    tile under this name: the benchmark tracer wraps the public name, and so
+    counts and times one call per stack."""
     if x.values.shape[0] != G.n_rows:
         raise ValueError(f"excitation length {x.values.shape[0]} != rows {G.n_rows}")
-    g, drive = G.g, x.values
-    rows, cols = g.shape
+    g, drive = G.g if G.g.ndim == 3 else G.g[None], x.values  # a tile is a stack of one
+    k, rows, cols = g.shape
     r_row, r_col = spec.r_wire_row, spec.r_wire_col
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
     lead = int(not voltage_mode)  # a current driver heads its row's chain
+    # one dense solve per tile unless the rows fill two runs of MIN_GROUP_UNKNOWNS unknowns
+    per_row = lead + cols * ((r_row > 0.0) + (r_col > 0.0))
+    swept = per_row and rows >= 2 * -(-MIN_GROUP_UNKNOWNS // per_row)
+    if k > 1 and not swept:  # a stack of one-group tiles is solved tile by tile
+        sols = [_nodal(ConductanceMatrix(tile, G.g_min, G.g_max), x, spec) for tile in G.g]
+        return NodalSolution(*(np.array([getattr(s, f) for s in sols])
+                               for f in ("neuron_currents", "p_source", "p_dissipated")))
     # current sources fix no potential: only a termination at the end of a
     # column wire ties the array to ground
     if not voltage_mode and (np.isinf(r_col) or np.all(np.isinf(r_neuron))):
@@ -299,27 +339,36 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
     # (tests/oracles.py), a merged node's in sequence, so that a tile of one
     # group matches it bit for bit: a row-wire node its cross-point, then its
     # links right and left; a column-wire node its link down, cross-point
-    # and link up; a free terminal its termination, then its column.
+    # and link up; a free terminal its termination, then its column. The
+    # chains are every row's tiles in turn: chain i*k + t is tile t's row i.
+    g_rows = g.transpose(1, 0, 2).reshape(rows * k, cols)
     if r_row > 0.0:
         w_r, L, pos = 1.0 / r_row, cols + lead, np.arange(lead, cols + lead)
-        d = np.vstack([np.full((lead, rows), w_r), g.T + w_r])
+        d = np.concatenate([np.full((lead, rows * k), w_r), g_rows.T + w_r])
         d[lead:-1] += w_r  # the row wire's far end links one way only
     else:  # a driver with its ideal row wire, unless the driver is fixed
         w_r, L, pos = 0.0, lead, np.zeros(cols, int)
-        d = np.cumsum(g, 1)[None, :, -1][:L]
+        d = np.cumsum(g_rows, 1)[None, :, -1][:L]
     # the chain's diagonals, link, positions and what a unit drive feeds into position 0
     chain = (d, w_r, pos, w_r if voltage_mode else 1.0)
-    ends = np.flatnonzero(r_neuron > 0.0)  # the free terminals
+    ends = (r_neuron > 0.0).nonzero()[0]  # the free terminals
     g_term = 1.0 / r_neuron[ends]
     if r_col > 0.0:
         w_c = 1.0 / r_col
-        d_col, d_term = np.vstack([w_c + g[:1], w_c + g[1:] + w_c]), g_term + w_c
+        d_col = np.concatenate([w_c + g[:, :1], w_c + g[:, 1:] + w_c], 1)
+        d_term = (g_term + w_c)[None].repeat(k, 0)
     else:  # a column merged into its terminal
-        d_col, d_term = g[:0], np.cumsum(np.vstack([g_term, g[:, ends]]), 0)[-1]
-    diag = np.concatenate([d[:lead].ravel(), d[lead:].T.ravel(), d_col.ravel(), d_term])
-    if not np.all(diag):  # node ids count ground, drivers, both wire layers, terminals
+        d_col = g[:, :0]
+        d_term = np.cumsum(np.concatenate(
+            [np.broadcast_to(g_term, (k, 1, ends.size)), g[:, :, ends]], 1), 1)[:, -1]
+    d_tile = d.reshape(L, rows, k)
+    diag = np.concatenate([d_tile[:lead].transpose(2, 0, 1).reshape(k, -1),
+                           d_tile[lead:].transpose(2, 1, 0).reshape(k, -1),
+                           d_col.reshape(k, -1), d_term], 1)  # each tile's, in node order
+    if not diag.all():  # node ids count ground, drivers, both wire layers, terminals
+        t = np.argmin(diag.all(1))  # the first tile with a floating node
         unknown = np.repeat([lead, r_row > 0.0, r_col > 0.0], [rows, rows * cols, rows * cols])
-        node = 1 + int(np.flatnonzero(np.append(unknown, r_neuron > 0.0))[np.argmin(diag)])
+        node = 1 + int(np.flatnonzero(np.append(unknown, r_neuron > 0.0))[np.argmin(diag[t])])
         raise SingularNetworkError(f"floating node (supernode {node}) has no conductance "
                                    "to the rest of the network", node=node)
     # open row wires leave an open-terminated column no path to a fixed potential
@@ -329,41 +378,46 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
         raise SingularNetworkError(f"floating column {j} (supernode {node}): its termination "
                                    "and the row wires are open", node=node)
 
-    # one dense solve unless the rows fill two runs of MIN_GROUP_UNKNOWNS unknowns
-    per_row = lead + cols * ((r_row > 0.0) + (r_col > 0.0))
     try:
-        v_chain, v_col, v_term = (
-            _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term)
-            if per_row and rows >= 2 * -(-MIN_GROUP_UNKNOWNS // per_row) else
-            _dense(g, drive, voltage_mode, chain, r_col, ends, diag))
+        if swept:
+            v_chain, v_col, v_term = _two_layer(g_rows.reshape(rows, k, cols), drive,
+                                                voltage_mode, chain, r_col, ends, g_term)
+        else:
+            v_chain, v_col, v_term = (v[None] for v in _dense(
+                g[0], drive, voltage_mode, chain, r_col, ends, diag[0]))
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 
     # branch voltages and currents in the reference's order: cross-points,
     # terminations, row wires (the driver's feed, then between cross-points)
     # and column wires (between cross-points, then the terminal's feed)
-    v_src = drive if voltage_mode else v_chain[0]
-    v_row = v_chain[pos].T if L else drive[:, None]
-    dv, gb = [v_row - v_col, v_term[ends]], [g, g_term]
+    v_src = drive if voltage_mode else v_chain[:, 0]
+    v_row = v_chain[:, pos].transpose(0, 2, 1) if L else drive[:, None]
+    v_free = v_term[:, ends]
+    dv, gb = [v_row - v_col, v_free], [g, g_term]
     if r_row > 0.0:
-        v = np.column_stack([v_src, v_row])
-        dv, gb = dv + [v[:, :-1] - v[:, 1:]], gb + [w_r]
+        v = np.empty((k, rows, cols + 1))
+        v[..., 0], v[..., 1:] = v_src, v_row
+        dv, gb = dv + [v[..., :-1] - v[..., 1:]], gb + [w_r]
     if r_col > 0.0:
-        v = np.vstack([v_col, v_term])
-        dv, gb = dv + [v[:-1] - v[1:]], gb + [w_c]
+        v = np.concatenate([v_col, v_term[:, None]], 1)
+        dv, gb = dv + [v[:, :-1] - v[:, 1:]], gb + [w_c]
     i_b = [c * u for c, u in zip(gb, dv)]
     # a neuron's current flows through its termination, or into its grounded
     # terminal from the column wire's feed or from its merged column
-    currents = np.array(i_b[-1][-1] if r_col > 0.0 else np.cumsum(i_b[0], 0)[-1])
-    currents[ends] = v_term[ends] / r_neuron[ends]
+    currents = np.array(i_b[-1][:, -1] if r_col > 0.0 else np.cumsum(i_b[0], 1)[:, -1])
+    currents[:, ends] = v_free / r_neuron[ends]
 
-    # Tellegen's powers, each one dot product of contiguous operands (BLAS sums a
-    # strided one in another order); a voltage driver sends its feed's or row's current
+    # Tellegen's powers, per tile one dot product of contiguous operands (BLAS sums
+    # a strided one in another order); a voltage driver sends its feed's or row's current
     dual = v_src if not voltage_mode else \
-        i_b[2][:, 0] if r_row > 0.0 else np.cumsum(i_b[0], 1)[:, -1]
-    return NodalSolution(neuron_currents=currents,
-                         p_source=float(drive @ np.ascontiguousarray(dual)),
-                         p_dissipated=float(np.concatenate(i_b, None) @ np.concatenate(dv, None)))
+        i_b[2][..., 0] if r_row > 0.0 else np.cumsum(i_b[0], 2)[..., -1]
+    p_source = [float(drive @ np.ascontiguousarray(dual[t])) for t in range(k)]
+    p_dissipated = [float(np.concatenate([a[t] for a in i_b], None)
+                          @ np.concatenate([u[t] for u in dv], None)) for t in range(k)]
+    if G.g.ndim == 2:  # the currents as an array of their own, not a view of the stack's
+        return NodalSolution(currents[0].copy(), p_source[0], p_dissipated[0])
+    return NodalSolution(currents, np.array(p_source), np.array(p_dissipated))
 
 
 def dot_product_error(G: ConductanceMatrix, x: Excitation,

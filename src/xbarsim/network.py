@@ -10,7 +10,9 @@ has v_out = vdd - r_load*(ib - i_in - i_dac_out), free of device parameters,
 so no neuron is solved per input. Every circuit tier reports an input
 current at or above the main bias as a failure. Mismatched neurons are still
 sampled and SAR-trimmed once per CircuitContext, to report calibration
-failures. All three tiers run through one forward loop in infer.
+failures. All three tiers run through one forward loop in infer, and
+CIRCUIT_NONIDEAL solves each layer's pair as one stack of two tiles, in one
+nodal call per layer.
 """
 
 from __future__ import annotations
@@ -58,12 +60,19 @@ class LayerSpec:
 
 @dataclass
 class MappedLayer:
-    """Differential conductance pair realizing one layer's weights."""
+    """Differential conductance pair realizing one layer's weights. pair
+    stacks the two tiles once, when the layer is made, for the nodal solve."""
 
     g_plus: ConductanceMatrix     # shape (n_in, n_out)
     g_minus: ConductanceMatrix
     scale: float                  # Siemens per unit weight
     activation: Activation = Activation.THRESHOLD
+    pair: ConductanceMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.pair = ConductanceMatrix(np.stack([self.g_plus.g, self.g_minus.g]),
+                                      min(self.g_plus.g_min, self.g_minus.g_min),
+                                      max(self.g_plus.g_max, self.g_minus.g_max))
 
     @property
     def n_in(self) -> int:
@@ -180,10 +189,9 @@ def infer(layers, x, fidelity: Fidelity,
         else:
             exc = voltage_excitation(v * ctx.v_read)
             if nonideal and ctx.nonideal is not None:
-                sol_p = output_currents_nonideal(layer.g_plus, exc, ctx.nonideal)
-                sol_m = output_currents_nonideal(layer.g_minus, exc, ctx.nonideal)
-                i_plus, i_minus = sol_p.neuron_currents, sol_m.neuron_currents
-                p_crossbar += sol_p.p_dissipated + sol_m.p_dissipated
+                sol = output_currents_nonideal(layer.pair, exc, ctx.nonideal)
+                (i_plus, i_minus), (p_plus, p_minus) = sol.neuron_currents, sol.p_dissipated
+                p_crossbar += float(p_plus) + float(p_minus)
             else:
                 # a branch of its own: the zero-spec nodal solve gives the same
                 # bits but cost 44 -> 599 us per input at 16-8-4 and 100 us ->

@@ -7,7 +7,6 @@ tabular payloads.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,6 +73,7 @@ def canonical_json(obj) -> str:
 
 
 def config_digest(cfg_data: dict) -> str:
+    import hashlib  # here, so that importing the package loads no OpenSSL
     return hashlib.sha256(canonical_json(cfg_data).encode("ascii")).hexdigest()
 
 

@@ -170,19 +170,36 @@ def random_terminations(rng, cols, zeros):
     return r_n
 
 
+def check_against_dense_oracle(rows, cols, seed, r_row, r_col, zeros):
+    """A voltage-driven random tile against the dense oracle, and its
+    Tellegen balance."""
+    rng = np.random.default_rng(seed)
+    G = random_gmat(rng, rows, cols)
+    v = rng.uniform(0, 1, rows)
+    r_n = random_terminations(rng, cols, zeros)
+    sol = output_currents_nonideal(G, voltage_excitation(v), NonIdealSpec(r_row, r_col, r_n))
+    ref = nodal_oracle_currents(G.g, v, r_row, r_col, r_n)
+    assert sol.neuron_currents == pytest.approx(ref, rel=1e-9)
+    assert sol.p_source == pytest.approx(sol.p_dissipated, rel=1e-9)
+
+
+def check_charge_and_power(rows, cols, seed, r_row, r_col, zeros):
+    """A current-driven random tile delivers its source current to the
+    terminals, and its two Tellegen powers agree."""
+    rng = np.random.default_rng(seed)
+    G = random_gmat(rng, rows, cols)
+    i_src = rng.uniform(1e-6, 1e-5, rows)
+    r_n = random_terminations(rng, cols, zeros)
+    sol = output_currents_nonideal(G, current_excitation(i_src), NonIdealSpec(r_row, r_col, r_n))
+    assert sol.neuron_currents.sum() == pytest.approx(i_src.sum(), rel=1e-9)
+    assert sol.p_source == pytest.approx(sol.p_dissipated, rel=1e-9)
+
+
 class TestNodalProperties:
     @settings(max_examples=60, deadline=None)
     @given(row_dims, dims, seeds, wires, wires, st.booleans())
     def test_wired_matches_dense_oracle(self, rows, cols, seed, r_row, r_col, zeros):
-        rng = np.random.default_rng(seed)
-        G = random_gmat(rng, rows, cols)
-        v = rng.uniform(0, 1, rows)
-        r_n = random_terminations(rng, cols, zeros)
-        sol = output_currents_nonideal(G, voltage_excitation(v),
-                                       NonIdealSpec(r_row, r_col, r_n))
-        ref = nodal_oracle_currents(G.g, v, r_row, r_col, r_n)
-        assert sol.neuron_currents == pytest.approx(ref, rel=1e-9)
-        assert sol.p_source == pytest.approx(sol.p_dissipated, rel=1e-9)
+        check_against_dense_oracle(rows, cols, seed, r_row, r_col, zeros)
 
     @settings(max_examples=60, deadline=None)
     @given(row_dims, dims, seeds)
@@ -208,14 +225,18 @@ class TestNodalProperties:
     @given(row_dims, dims, seeds, wires_or_zero, wires_or_zero, st.booleans())
     def test_current_mode_conserves_charge_and_power(self, rows, cols, seed, r_row, r_col,
                                                      zeros):
-        rng = np.random.default_rng(seed)
-        G = random_gmat(rng, rows, cols)
-        i_src = rng.uniform(1e-6, 1e-5, rows)
-        r_n = random_terminations(rng, cols, zeros)
-        sol = output_currents_nonideal(G, current_excitation(i_src),
-                                       NonIdealSpec(r_row, r_col, r_n))
-        assert sol.neuron_currents.sum() == pytest.approx(i_src.sum(), rel=1e-9)
-        assert sol.p_source == pytest.approx(sol.p_dissipated, rel=1e-9)
+        check_charge_and_power(rows, cols, seed, r_row, r_col, zeros)
+
+    @pytest.mark.parametrize("cols,seed", [(1, 0), (3, 1), (6, 2)])
+    def test_one_row_swept_with_free_terminations(self, cols, seed):
+        # a one-row tile is one dense group unless forced through the row
+        # sweep, where its terminals' feeds have no row above them
+        with mock.patch.object(crossbar, "MIN_GROUP_UNKNOWNS", 0), \
+                mock.patch.object(crossbar, "_two_layer", wraps=crossbar._two_layer) as swept:
+            check_against_dense_oracle(1, cols, seed, 2.0, 3.0, zeros=False)
+            for r_row in (0.0, 2.0):
+                check_charge_and_power(1, cols, seed, r_row, 3.0, zeros=False)
+        assert swept.call_count == 3
 
     def test_floating_node_reported(self):
         G = gmat([[1e-3, 2e-3], [3e-3, 4e-3]])
@@ -440,7 +461,9 @@ def bench_tiles(monkeypatch, seed):
                            wraps=output_currents_nonideal) as solve:
         for x in wl.xs:
             network.infer(wl.mapped, x, Fidelity.CIRCUIT_NONIDEAL, wl.ctx)
-    return tiles + [c.args for c in solve.call_args_list]
+    # each call solves a layer's pair as one stack of two tiles
+    return tiles + [(ConductanceMatrix(g, G.g_min, G.g_max), x, spec)
+                    for G, x, spec in (c.args for c in solve.call_args_list) for g in G.g]
 
 
 def weakly_grounded_tiles(n, seed=0):
@@ -503,6 +526,87 @@ class TestExactSolve:
         assert sum(m > 5e-11 for m in misses) <= 16
 
 
+@st.composite
+def stacks(draw):
+    """1-3 same-shape tiles under one drive and spec, drawn as tiles() draws
+    one, with wires that may also be open."""
+    G, x, spec = draw(tiles(wire=st.one_of(wires_or_zero, st.just(math.inf))))
+    rng = np.random.default_rng(draw(seeds))
+    more = [random_gmat(rng, G.n_rows, G.n_cols).g for _ in range(draw(st.integers(0, 2)))]
+    return ConductanceMatrix(np.stack([G.g, *more])), x, spec
+
+
+def assert_each_tile_alone(sol, G, x, spec):
+    """sol, the solution of stack G, holds each tile's own solution bit for bit."""
+    assert sol.neuron_currents.shape == (G.g.shape[0], G.n_cols)
+    for t, g in enumerate(G.g):
+        one = output_currents_nonideal(ConductanceMatrix(g, G.g_min, G.g_max), x, spec)
+        assert np.array_equal(sol.neuron_currents[t], one.neuron_currents)
+        assert (sol.p_source[t], sol.p_dissipated[t]) == (one.p_source, one.p_dissipated)
+
+
+class TestStacks:
+    """A stack of tiles is solved together, and each tile's answer or error
+    equals, bit for bit, its own when solved alone."""
+
+    # tiles() draws about a quarter swept; forcing the split sweeps the rest,
+    # down to one-row and one-column tiles
+    @settings(max_examples=300, deadline=None)
+    @given(stacks(), st.booleans())
+    def test_stack_equals_each_tile_alone(self, stack, force_split):
+        G, x, spec = stack
+        with mock.patch.object(crossbar, "MIN_GROUP_UNKNOWNS",
+                               0 if force_split else crossbar.MIN_GROUP_UNKNOWNS):
+            for g in G.g:
+                try:
+                    output_currents_nonideal(ConductanceMatrix(g), x, spec)
+                except SingularNetworkError as e:  # the stack raises its first tile's error
+                    with pytest.raises(SingularNetworkError) as got:
+                        output_currents_nonideal(G, x, spec)
+                    assert str(got.value) == str(e) and got.value.node == e.node
+                    return
+            assert_each_tile_alone(output_currents_nonideal(G, x, spec), G, x, spec)
+
+    @pytest.mark.parametrize("cols,spec,excite", [
+        (1, NonIdealSpec(0.0, 0.0, 100.0), current_excitation),
+        (1, NonIdealSpec(1.0, 0.0, 100.0), voltage_excitation),
+        (4, NonIdealSpec(0.0, 2.0, [100.0, 0.0, math.inf, 1e3]), current_excitation),
+    ])
+    def test_tall_stacks_swept(self, cols, spec, excite):
+        # swept as drawn, which tiles() draws too few rows for; numpy sums a
+        # one-column tile's rows pairwise, so a stack must sum them per tile
+        rng = np.random.default_rng(cols)
+        G = ConductanceMatrix(rng.uniform(1e-6, 1e-3, (3, 200, cols)))
+        x = excite(rng.uniform(1e-6, 1e-5, 200))
+        sol, split = solve_split(G, x, spec)
+        assert split
+        assert_each_tile_alone(sol, G, x, spec)
+
+    @pytest.mark.parametrize("spec,message", [
+        (NonIdealSpec(1.0, math.inf, math.inf), "floating node"),
+        (NonIdealSpec(math.inf, 2.0, [100.0, math.inf, 0.0, 1e3]), "floating column 1 "),
+    ])
+    @pytest.mark.parametrize("rows", [3, 30])
+    def test_stack_raises_its_tiles_error(self, rows, spec, message):
+        rng = np.random.default_rng(rows)
+        G = ConductanceMatrix(rng.uniform(1e-6, 1e-3, (3, rows, 4)))
+        x = voltage_excitation(rng.uniform(0.0, 1.0, rows))
+        with pytest.raises(SingularNetworkError, match=message) as alone:
+            output_currents_nonideal(ConductanceMatrix(G.g[2]), x, spec)
+        with pytest.raises(SingularNetworkError) as stacked:
+            output_currents_nonideal(G, x, spec)
+        assert str(stacked.value) == str(alone.value) and stacked.value.node == alone.value.node
+
+    def test_ideal_product_rejects_a_stack(self):
+        # three 3 x 2 tiles: G.g.T @ x would give a 2 x 3 array without a word
+        G = ConductanceMatrix(np.full((3, 3, 2), 1e-4))
+        x = voltage_excitation([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="stack of 3"):
+            output_currents_ideal(G, x)
+        with pytest.raises(ValueError, match="stack of 3"):
+            dot_product_error(G, x, NonIdealSpec(1.0, 1.0, 100.0))
+
+
 class TestErrorMetric:
     def test_zero_spec_zero_error(self):
         rng = np.random.default_rng(10)
@@ -527,6 +631,12 @@ class TestValidation:
         for g in [2e-3, float("nan")]:
             with pytest.raises(ValueError):
                 ConductanceMatrix(np.array([[g, 1e-3]]), g_min=1e-6, g_max=1e-3)
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0), (0, 2, 2), (2, 2, 0),
+                                       (1, 2, 2, 2)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D, or a 3-D stack"):
+            ConductanceMatrix(np.full(shape, 1e-4))
 
     def test_negative_resistance_rejected(self):
         G = gmat([[1e-3]])

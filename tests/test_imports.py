@@ -2,10 +2,14 @@
 
 A stand-in for a linter's unused-import rule (F401) that runs wherever the
 tests run. Re-exports in __init__.py are exempt, and so is an import
-statement whose first line carries '# noqa: F401'.
+statement whose first line carries '# noqa: F401'. Also, importing the
+crossbar alone loads no OpenSSL.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,15 @@ def test_detects_unused_names():
               "def f(g: Callable) -> float:\n"
               "    return os.path.sep\n")
     assert unused_imports(source) == ["line 2: math", "line 4: Sequence"]
+
+
+def test_crossbar_import_loads_no_openssl():
+    # hashlib's OpenSSL binding is 3.6 MB of a 32.6 MB process that wanted
+    # only the crossbar; reports imports hashlib where it hashes
+    src = str(Path(xbarsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, xbarsim.crossbar; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,16 +1,18 @@
 import json
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xbarsim import network
+from xbarsim import crossbar, network
 from xbarsim.config import parse_config
-from xbarsim.crossbar import (NonIdealSpec, output_currents_ideal,
-                              output_currents_nonideal, voltage_excitation)
+from xbarsim.crossbar import (ConductanceMatrix, NodalSolution, NonIdealSpec,
+                              output_currents_ideal, output_currents_nonideal,
+                              voltage_excitation)
 from xbarsim.experiments import ExperimentKind, run_experiment
 from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
 from xbarsim.network import (Activation, CircuitContext, Fidelity, LayerSpec,
@@ -199,6 +201,39 @@ class TestInference:
         b = infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, ctx)
         assert np.array_equal(a.outputs, b.outputs)
         assert all(np.array_equal(p, q) for p, q in zip(a.bits, b.bits))
+
+    def test_pair_stack_equals_two_single_tile_calls(self, monkeypatch):
+        # 16-8-4 as the benchmark's network: the 16 x 8 pair is swept, the
+        # 8 x 4 pair one group; rows leaning to one sign at 0.2 V drive some
+        # neurons past their bias
+        rng = np.random.default_rng(12)
+        layers = [mapped(rng.uniform(-1, 1, (n_out, n_in)) + rng.uniform(-1, 1, (n_out, 1)))
+                  for n_in, n_out in [(16, 8), (8, 4)]]
+        ctx = CircuitContext(neuron=reference_params(), v_read=0.2,
+                             nonideal=NonIdealSpec(5.0, 5.0, 1e3),
+                             mismatch=MismatchSpec(), mismatch_seed=7)
+        xs = rng.uniform(-1, 1, (6, 16))
+        with mock.patch.object(crossbar, "_two_layer", wraps=crossbar._two_layer) as swept, \
+                mock.patch.object(network, "output_currents_nonideal",
+                                  wraps=output_currents_nonideal) as solve:
+            stacked = [infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, ctx) for x in xs]
+        assert (solve.call_count, swept.call_count) == (2 * len(xs), len(xs))
+
+        def tile_by_tile(G, x, spec):
+            sols = [output_currents_nonideal(ConductanceMatrix(g, G.g_min, G.g_max), x, spec)
+                    for g in G.g]
+            return NodalSolution(np.array([s.neuron_currents for s in sols]),
+                                 np.array([s.p_source for s in sols]),
+                                 np.array([s.p_dissipated for s in sols]))
+
+        monkeypatch.setattr(network, "output_currents_nonideal", tile_by_tile)
+        assert any(r.failures for r in stacked)
+        for got, x in zip(stacked, xs):
+            want = infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, ctx)
+            assert all(np.array_equal(a, b) for a, b in zip(got.bits, want.bits))
+            assert np.array_equal(got.outputs, want.outputs)
+            assert got.crossbar_power == want.crossbar_power
+            assert got.failures == want.failures
 
     def test_failed_neuron_reported_and_keeps_sign_bit(self, monkeypatch, tmp_path):
         w = [[1.0, -0.5, 0.25], [-0.75, 0.5, 1.0]]
