@@ -22,12 +22,13 @@ Live in memory are two arrays: the chains' solutions, L x rows x (cols + 1)
 doubles for a chain of L nodes, and the sweep's, rows x cols x (cols + 1).
 
 A ConductanceMatrix may also be a stack of k same-shape tiles, such as a
-layer's differential pair, solved under one drive and one spec. A swept
-stack is solved together: the set-up and the post-processing run once, with
-a leading tile axis, one chain condensation covers every tile's rows, and
-one LAPACK call covers the stack per row of the column-side sweep, its two
-live arrays k times as large. A stack of one-group tiles is solved tile by
-tile. Each tile's answer equals, bit for bit, its answer when solved alone.
+layer's differential pair, solved under one drive and one spec. The set-up,
+the checks and the post-processing run once over the stack, with a leading
+tile axis. A swept stack is solved together: one chain condensation covers
+every tile's rows, and one LAPACK call covers the stack per row of the
+column-side sweep, its two live arrays k times as large. A stack of
+one-group tiles makes one dense solve per tile. Each tile's answer equals,
+bit for bit, its answer when solved alone.
 """
 
 from __future__ import annotations
@@ -173,11 +174,12 @@ MIN_GROUP_UNKNOWNS = 96
 
 
 def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
-    """Solve a tile of one row group as one dense system, its unknowns in the
-    dense reference's node order: the drivers in current mode, the row
-    wires' and then the column wires' nodes row by row, then the free
-    terminals. Returns one tile's chain (L x rows), column-side (rows x cols)
-    and terminal voltages (cols, 0 where grounded)."""
+    """Solve one tile of one row group, a stack's tiles in turn, as one dense
+    system, its unknowns in the dense reference's node order: the drivers in
+    current mode, the row wires' and then the column wires' nodes row by
+    row, then the free terminals. Returns one tile's chain (L x rows),
+    column-wire (rows x cols, or 0 x cols when the columns merge into their
+    terminals) and terminal voltages (cols, 0 where grounded)."""
     rows, cols = g.shape
     d, w_r, pos, unit = chain
     L, lead = len(d), int(not voltage_mode)
@@ -205,7 +207,7 @@ def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
     v = np.linalg.solve(a, b)
     v_term = np.zeros(cols)
     v_term[ends] = v[term]
-    return v[at], v[col] if r_col > 0.0 else np.broadcast_to(v_term, (rows, cols)), v_term
+    return v[at], v[col], v_term
 
 
 def _two_layer(g, drive, voltage_mode, chain, r_col, ends, g_term):
@@ -303,17 +305,11 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
 
     With an all-zero spec every node merges into a driver or a neuron terminal,
     so this reproduces the ideal dot product to rounding (no tiny resistors).
-    A stack of k tiles is solved under the one drive and spec (module
-    docstring) and returns k rows of currents and k of each power, each
-    equal to that tile's solution alone; a singular tile raises its own error.
+    A stack of k tiles is solved under the one drive and spec, in one pass
+    of set-up and post-processing (module docstring), and returns k rows of
+    currents and k of each power, each equal to that tile's solution alone;
+    a singular tile raises its own error.
     """
-    return _nodal(G, x, spec)
-
-
-def _nodal(G, x, spec):
-    """output_currents_nonideal, which a stack of one-group tiles calls once per
-    tile under this name: the benchmark tracer wraps the public name, and so
-    counts and times one call per stack."""
     if x.values.shape[0] != G.n_rows:
         raise ValueError(f"excitation length {x.values.shape[0]} != rows {G.n_rows}")
     g, drive = G.g if G.g.ndim == 3 else G.g[None], x.values  # a tile is a stack of one
@@ -325,10 +321,6 @@ def _nodal(G, x, spec):
     # one dense solve per tile unless the rows fill two runs of MIN_GROUP_UNKNOWNS unknowns
     per_row = lead + cols * ((r_row > 0.0) + (r_col > 0.0))
     swept = per_row and rows >= 2 * -(-MIN_GROUP_UNKNOWNS // per_row)
-    if k > 1 and not swept:  # a stack of one-group tiles is solved tile by tile
-        sols = [_nodal(ConductanceMatrix(tile, G.g_min, G.g_max), x, spec) for tile in G.g]
-        return NodalSolution(*(np.array([getattr(s, f) for s in sols])
-                               for f in ("neuron_currents", "p_source", "p_dissipated")))
     # current sources fix no potential: only a termination at the end of a
     # column wire ties the array to ground
     if not voltage_mode and (np.isinf(r_col) or np.all(np.isinf(r_neuron))):
@@ -348,7 +340,7 @@ def _nodal(G, x, spec):
         d[lead:-1] += w_r  # the row wire's far end links one way only
     else:  # a driver with its ideal row wire, unless the driver is fixed
         w_r, L, pos = 0.0, lead, np.zeros(cols, int)
-        d = np.cumsum(g_rows, 1)[None, :, -1][:L]
+        d = np.cumsum(g_rows, 1)[None, :, -1] if L else np.empty((0, rows * k))
     # the chain's diagonals, link, positions and what a unit drive feeds into position 0
     chain = (d, w_r, pos, w_r if voltage_mode else 1.0)
     ends = (r_neuron > 0.0).nonzero()[0]  # the free terminals
@@ -382,9 +374,12 @@ def _nodal(G, x, spec):
         if swept:
             v_chain, v_col, v_term = _two_layer(g_rows.reshape(rows, k, cols), drive,
                                                 voltage_mode, chain, r_col, ends, g_term)
-        else:
-            v_chain, v_col, v_term = (v[None] for v in _dense(
-                g[0], drive, voltage_mode, chain, r_col, ends, diag[0]))
+        else:  # one dense solve per tile
+            v_chain, v_col, v_term = map(np.stack, zip(*(
+                _dense(g[t], drive, voltage_mode, chain, r_col, ends, diag[t])
+                for t in range(k))))
+            if r_col == 0.0:  # a merged column is at its terminal's voltage
+                v_col = np.broadcast_to(v_term[:, None], (k, rows, cols))
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 

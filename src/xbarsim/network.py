@@ -194,8 +194,9 @@ def infer(layers, x, fidelity: Fidelity,
                 p_crossbar += float(p_plus) + float(p_minus)
             else:
                 # a branch of its own: the zero-spec nodal solve gives the same
-                # bits but cost 44 -> 599 us per input at 16-8-4 and 100 us ->
-                # 8.2 ms at 256-128-10 (one BLAS thread, 2 shared vCPUs)
+                # bits, up to a flipped exact tie, but costs 26 -> 218 us per input
+                # at 16-8-4 and 100 us -> 1.42 ms at 256-128-10 (no mismatch;
+                # one BLAS thread, 2 shared vCPUs)
                 i_plus = output_currents_ideal(layer.g_plus, exc)
                 i_minus = output_currents_ideal(layer.g_minus, exc)
                 p_crossbar += (crossbar_power_ideal(layer.g_plus, exc.values)

@@ -585,6 +585,9 @@ class TestStacks:
     @pytest.mark.parametrize("spec,message", [
         (NonIdealSpec(1.0, math.inf, math.inf), "floating node"),
         (NonIdealSpec(math.inf, 2.0, [100.0, math.inf, 0.0, 1e3]), "floating column 1 "),
+        # each cross-point's two wire nodes float together, which only LAPACK
+        # finds: per tile in a one-group stack (3 rows), in the sweep (30 rows)
+        (NonIdealSpec(math.inf, math.inf, 100.0), "nodal system is singular"),
     ])
     @pytest.mark.parametrize("rows", [3, 30])
     def test_stack_raises_its_tiles_error(self, rows, spec, message):
@@ -596,6 +599,22 @@ class TestStacks:
         with pytest.raises(SingularNetworkError) as stacked:
             output_currents_nonideal(G, x, spec)
         assert str(stacked.value) == str(alone.value) and stacked.value.node == alone.value.node
+
+    @pytest.mark.parametrize("excite", [voltage_excitation, current_excitation])
+    @pytest.mark.parametrize("rows,spec,split", [
+        (3, NonIdealSpec(1.0, 1.0, 100.0), False),
+        (30, NonIdealSpec(1.0, 1.0, 100.0), True),
+        (3, NonIdealSpec(), False),
+    ])
+    def test_tile_owns_its_solution(self, rows, spec, split, excite):
+        # a view of the stack's currents would keep the whole stack's array
+        # alive as long as the tile's solution is kept
+        rng = np.random.default_rng(rows)
+        G = random_gmat(rng, rows, 4)
+        sol, swept = solve_split(G, excite(rng.uniform(1e-6, 1e-5, rows)), spec)
+        assert swept == split
+        assert sol.neuron_currents.shape == (4,) and sol.neuron_currents.base is None
+        assert type(sol.p_source) is float and type(sol.p_dissipated) is float
 
     def test_ideal_product_rejects_a_stack(self):
         # three 3 x 2 tiles: G.g.T @ x would give a 2 x 3 array without a word
