@@ -6,17 +6,16 @@ __version__ = "0.1.0"
 from .devices import MosEval, MosParams, Region, mos_eval
 from .crossbar import (ConductanceMatrix, Excitation, ExcitationMode,
                        NonIdealSpec, SingularNetworkError, current_excitation,
-                       dot_product_error, output_currents_ideal,
-                       output_currents_nonideal, voltage_excitation)
+                       output_currents_ideal, output_currents_nonideal,
+                       voltage_excitation)
 from .neuron import (DacSpec, OperatingPoint, RgcParams, SmallSignalReport,
-                     SolverError, dac_current, gain_numeric, gm_tuned,
-                     reference_params, rout_numeric, small_signal, solve_dc,
-                     transfer_curve, zin_numeric)
+                     SolverError, dac_current, gm_tuned, reference_params,
+                     small_signal, solve_dc, transfer_curve)
 from .sar import (SarResult, sar_calibrate, sar_normalized_converge,
                   sar_normalized_step)
 from .montecarlo import McResult, MismatchSpec, run_mc, run_rng, sample_params
 from .network import (Activation, CircuitContext, EnergyReport, Fidelity,
-                      LayerSpec, MappedLayer, dequantize, digital_baseline,
+                      LayerSpec, MappedLayer, digital_baseline,
                       energy_estimate, infer, map_weights)
 from .config import ConfigError, SimConfig, load_config, parse_config, parse_engineering
 from .experiments import ExperimentKind, run_experiment

@@ -178,10 +178,6 @@ class SimConfig:
     def __getitem__(self, section: str) -> dict:
         return self.data[section]
 
-    def to_json(self) -> str:
-        from .reports import canonical_json
-        return canonical_json(self.data)
-
     def neuron_params(self) -> RgcParams:
         n = self.data["neuron"]
         m1, m2, m3, m5 = (MosParams(n[r]["beta"], n[r]["vt"], n[r]["lambda"])

@@ -59,7 +59,8 @@ class ConductanceMatrix:
 
     A k x rows x cols array is a stack of k same-shape tiles, which
     output_currents_nonideal solves together; n_rows and n_cols are per tile.
-    Every entry must lie in the programmable window [g_min, g_max].
+    Every entry must lie in the programmable window [g_min, g_max], which
+    must be finite: an infinite conductance leaves the nodal solve NaN.
     """
 
     g: np.ndarray
@@ -71,9 +72,9 @@ class ConductanceMatrix:
         if self.g.ndim not in (2, 3) or 0 in self.g.shape:
             raise ValueError("conductance matrix must be 2-D, or a 3-D stack of tiles, "
                              f"got shape {self.g.shape}")
-        if not (0.0 < self.g_min <= self.g_max):
-            raise ValueError(f"need 0 < g_min <= g_max, got {self.g_min}, {self.g_max}")
         # written so that NaN fails
+        if not (0.0 < self.g_min <= self.g_max < np.inf):
+            raise ValueError(f"need 0 < g_min <= g_max < inf, got {self.g_min}, {self.g_max}")
         if not (np.all(self.g >= self.g_min) and np.all(self.g <= self.g_max)):
             raise ValueError("conductance entries outside [g_min, g_max]")
 
@@ -414,14 +415,3 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
         return NodalSolution(currents[0].copy(), p_source[0], p_dissipated[0])
     return NodalSolution(currents, np.array(p_source), np.array(p_dissipated))
 
-
-def dot_product_error(G: ConductanceMatrix, x: Excitation,
-                      spec: NonIdealSpec) -> np.ndarray:
-    """Per-column relative deviation of the non-ideal currents from ideal."""
-    ideal = output_currents_ideal(G, x)
-    actual = output_currents_nonideal(G, x, spec).neuron_currents
-    err = np.zeros_like(ideal)
-    nz = ideal != 0.0
-    err[nz] = np.abs(actual[nz] - ideal[nz]) / np.abs(ideal[nz])
-    err[~nz] = np.abs(actual[~nz])
-    return err

@@ -75,10 +75,6 @@ class MappedLayer:
                                       max(self.g_plus.g_max, self.g_minus.g_max))
 
     @property
-    def n_in(self) -> int:
-        return self.g_plus.n_rows
-
-    @property
     def n_out(self) -> int:
         return self.g_plus.n_cols
 
@@ -114,12 +110,6 @@ def map_weights(w: np.ndarray, bits: int, g_min: float, g_max: float,
         g_minus=ConductanceMatrix(g_minus.T, g_min=g_min, g_max=g_max),
         scale=scale, activation=activation,
     )
-
-
-def dequantize(m: MappedLayer) -> np.ndarray:
-    """Recover the quantized weights: (g_plus - g_minus) / scale, transposed
-    back to (n_out, n_in)."""
-    return ((m.g_plus.g - m.g_minus.g) / m.scale).T
 
 
 @dataclass
@@ -165,26 +155,25 @@ def infer(layers, x, fidelity: Fidelity,
           ctx: CircuitContext | None = None) -> InferenceResult:
     """Run one input through the network at the requested fidelity tier.
 
-    layers: LayerSpec or MappedLayer (dequantized) at IDEAL_MATH, MappedLayer
-    at the circuit tiers. Every circuit tier lists an input current at or above
-    the main bias as a failure; CIRCUIT_NONIDEAL with a mismatch spec also
-    lists calibration failures.
+    layers: LayerSpec at IDEAL_MATH, MappedLayer at the circuit tiers; either
+    at the other tier raises ValueError. Every circuit tier lists an input
+    current at or above the main bias as a failure; CIRCUIT_NONIDEAL with a
+    mismatch spec also lists calibration failures.
     """
     ideal = fidelity is Fidelity.IDEAL_MATH
     nonideal = fidelity is Fidelity.CIRCUIT_NONIDEAL
-    if not ideal:
-        if ctx is None:
-            raise ValueError("circuit fidelities need a CircuitContext")
-        if any(isinstance(l, LayerSpec) for l in layers):
-            raise ValueError("circuit fidelities need MappedLayer inputs")
+    if any(isinstance(l, LayerSpec) != ideal for l in layers):
+        need = "LayerSpec" if ideal else "MappedLayer"
+        raise ValueError(f"{fidelity.value} fidelity needs {need} inputs")
+    if not ideal and ctx is None:
+        raise ValueError("circuit fidelities need a CircuitContext")
     mismatched = nonideal and ctx.mismatch is not None
     pres, bits, failures = [], [], []
     p_crossbar = 0.0
     v = np.asarray(x, dtype=float)
     for li, layer in enumerate(layers):
         if ideal:
-            w = layer.weights if isinstance(layer, LayerSpec) else dequantize(layer)
-            pre = w @ v
+            pre = layer.weights @ v
             b = pre >= 0.0
         else:
             exc = voltage_excitation(v * ctx.v_read)

@@ -292,52 +292,6 @@ def small_signal(p: RgcParams, op: OperatingPoint) -> SmallSignalReport:
     return SmallSignalReport(a=a, zin=zin, rout=rout, gm_tuned=gm_tuned(p, op.i_fb))
 
 
-def zin_numeric(p: RgcParams, code: int = 0, i_in: float = 0.0,
-                delta_i: float = 1e-9) -> float:
-    """Input impedance by central finite differences on the nonlinear solver."""
-    hi = solve_dc(p, i_in + delta_i, code)
-    lo = solve_dc(p, i_in - delta_i, code)
-    return (hi.v_in - lo.v_in) / (2.0 * delta_i)
-
-
-def gain_numeric(p: RgcParams, code: int = 0, i_in: float = 0.0,
-                 delta_i: float = 1e-9) -> float:
-    """Feedback-amplifier gain |dv_gate1/dv_in| measured on the solver."""
-    hi = solve_dc(p, i_in + delta_i, code)
-    lo = solve_dc(p, i_in - delta_i, code)
-    dvin = hi.v_in - lo.v_in
-    if dvin == 0.0:
-        raise SolverError("input node does not move; gain is unmeasurable "
-                          "(ideal feedback branch)")
-    return abs((hi.v_gate1 - lo.v_gate1) / dvin)
-
-
-def rout_numeric(p: RgcParams, op: OperatingPoint,
-                 delta_i: float = 1e-12) -> float:
-    """Cascode output impedance by finite differences.
-
-    The input and feedback nodes are pinned at the solved operating point
-    (the column driver standing in as an ideal source) and a probe current
-    is injected at M3's drain with the resistive load removed, which is the
-    standard way of measuring the impedance looking into the cascode.
-    """
-    vin, vg = op.v_in, op.v_gate1
-    i_src = op.i_stack
-
-    def solve_probe(di):
-        def residual_jac(v):
-            vy, vo = v
-            i1, d1g, d1d = mos_current_signed(p.m1, vg - vin, vy - vin)
-            i3, d3g, d3d = mos_current_signed(p.m3, p.vb3 - vy, vo - vy)
-            f = [i3 - i1, i_src + di - i3]
-            jac = [[-(d3g + d3d) - d1d, d3d], [d3g + d3d, -d3d]]
-            return f, jac
-        (_, vo), _, _ = _newton(residual_jac, [op.v_mid, op.v_out])
-        return vo
-
-    return (solve_probe(delta_i) - solve_probe(-delta_i)) / (2.0 * delta_i)
-
-
 @dataclass
 class TransferCurve:
     """Sampled i_in -> v_out characteristic. KCL at a solved point gives

@@ -2,16 +2,20 @@
 
 These deliberately share no assembly code with the package: the nodal
 oracle enumerates every physical node explicitly and stamps a dense
-conductance matrix, with driver rows eliminated by substitution. The one
-exception is ``solved_readout``: it solves each comparator decision with the
-package's own neuron solver and SAR, which network inference replaces with
-the KCL closed form, so the two can be compared. ``reference_sar_calibrate``
-is the bit-register SAR search that ``sar.sar_calibrate`` replaced with a
-plain MSB-first loop, kept with its direction, comparator offset and
-monotone sweep to check that the two agree call for call.
-``reference_solve_dc`` and ``reference_rout_numeric`` are the numpy-array
-Newton solves that the neuron's Python-float solves replaced, kept to check
-that the two agree bit for bit. ``reference_solve_network`` is the dense
+conductance matrix, with driver rows eliminated by substitution. The
+exceptions are measurements made with the package's own neuron solver:
+``solved_readout`` solves each comparator decision with it and the SAR,
+which network inference replaces with the KCL closed form, so the two can be
+compared; ``zin_numeric`` and ``gain_numeric`` take finite differences of
+its operating points, to check the small-signal formulas.
+``reference_sar_calibrate`` is the bit-register SAR search that
+``sar.sar_calibrate`` replaced with a plain MSB-first loop, kept with its
+direction, comparator offset and monotone sweep to check that the two agree
+call for call. ``reference_solve_dc`` is the numpy-array Newton solve that
+the neuron's Python-float solve replaced, kept to check that the two agree
+bit for bit. ``reference_rout_numeric``, the cascode output impedance by
+finite differences, runs the same array Newton on the probe network; it is
+the only copy of that measurement. ``reference_solve_network`` is the dense
 nodal solve that the crossbar's row-group block elimination replaced;
 ``exact_solve_network`` refines its solution against the circuit's branch
 currents, summed in extended precision, so that the float64 solves can be
@@ -474,6 +478,26 @@ def solved_readout(nominal, mismatch, mismatch_seed, vref_in, li, i_diff,
     return bits, failures
 
 
+def zin_numeric(p: RgcParams, code: int = 0, i_in: float = 0.0,
+                delta_i: float = 1e-9) -> float:
+    """Input impedance by central finite differences on the package's solver."""
+    hi = solve_dc(p, i_in + delta_i, code)
+    lo = solve_dc(p, i_in - delta_i, code)
+    return (hi.v_in - lo.v_in) / (2.0 * delta_i)
+
+
+def gain_numeric(p: RgcParams, code: int = 0, i_in: float = 0.0,
+                 delta_i: float = 1e-9) -> float:
+    """Feedback-amplifier gain |dv_gate1/dv_in| measured on the package's solver."""
+    hi = solve_dc(p, i_in + delta_i, code)
+    lo = solve_dc(p, i_in - delta_i, code)
+    dvin = hi.v_in - lo.v_in
+    if dvin == 0.0:
+        raise SolverError("input node does not move; gain is unmeasurable "
+                          "(ideal feedback branch)")
+    return abs((hi.v_gate1 - lo.v_gate1) / dvin)
+
+
 class Direction(Enum):
     INCREASING = "increasing"
     DECREASING = "decreasing"
@@ -565,11 +589,11 @@ def reference_sar_calibrate(plant, vref, nbits, direction=Direction.INCREASING,
 
 
 # ---- the array-based neuron solve ---------------------------------------
-# The numpy-array Newton solve that ``neuron.solve_dc`` and
-# ``neuron.rout_numeric`` replaced with Python-float residuals, with the
-# MosEval-building device evaluation it called. Kept unchanged so that the
-# tests can check the two bit for bit: same operating point, iterations and
-# residual, or the same SolverError text.
+# The numpy-array Newton solve that ``neuron.solve_dc`` replaced with
+# Python-float residuals, with the MosEval-building device evaluation it
+# called. Kept unchanged so that the tests can check the two bit for bit:
+# same operating point, iterations and residual, or the same SolverError
+# text. ``reference_rout_numeric`` runs it on the output probe.
 
 
 def reference_mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:
@@ -702,7 +726,7 @@ def reference_solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
 
 
 def reference_rout_numeric(p: RgcParams, op: OperatingPoint,
-                 delta_i: float = 1e-12) -> float:
+                           delta_i: float = 1e-12) -> float:
     """Cascode output impedance by finite differences.
 
     The input and feedback nodes are pinned at the solved operating point

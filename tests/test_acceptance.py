@@ -22,13 +22,13 @@ from xbarsim.montecarlo import MismatchSpec, run_mc
 from xbarsim.network import (CircuitContext, Fidelity, LayerSpec,
                              digital_baseline, energy_estimate, infer,
                              map_weights)
-from xbarsim.neuron import (DacSpec, RgcParams, SolverError, gain_numeric,
-                            reference_params, rout_numeric, small_signal,
-                            solve_dc, zin_numeric)
-from xbarsim.reports import emit_report
+from xbarsim.neuron import (DacSpec, RgcParams, SolverError, reference_params,
+                            small_signal, solve_dc)
+from xbarsim.reports import canonical_json, emit_report
 from xbarsim.sar import sar_calibrate, sar_normalized_converge
 
-from oracles import bisect, nodal_oracle_currents
+from oracles import (bisect, gain_numeric, nodal_oracle_currents,
+                     reference_rout_numeric, zin_numeric)
 
 DATA = Path(__file__).parent / "data"
 
@@ -146,7 +146,7 @@ def test_acceptance_3_rgc_formula_validation():
         try:
             a_fd = gain_numeric(p)
             z_fd = zin_numeric(p)
-            r_fd = rout_numeric(p, op)
+            r_fd = reference_rout_numeric(p, op)
         except SolverError:
             ok = False
             break
@@ -322,8 +322,8 @@ def test_acceptance_9_frontend(tmp_path, capsys):
 
     ref = DATA / "config_ref.json"
     cfg1 = load_config(ref)
-    cfg2 = parse_config(cfg1.to_json(), base_dir=ref.parent)
-    ok = ok and cfg1.to_json() == cfg2.to_json()
+    cfg2 = parse_config(canonical_json(cfg1.data), base_dir=ref.parent)
+    ok = ok and canonical_json(cfg1.data) == canonical_json(cfg2.data)
 
     a = emit_report(run_experiment(cfg1, ExperimentKind.MC))
     b = emit_report(run_experiment(cfg1, ExperimentKind.MC))

@@ -16,9 +16,8 @@ from xbarsim.crossbar import (ConductanceMatrix, NodalSolution, NonIdealSpec,
 from xbarsim.experiments import ExperimentKind, run_experiment
 from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
 from xbarsim.network import (Activation, CircuitContext, Fidelity, LayerSpec,
-                             crossbar_power_ideal, dequantize,
-                             digital_baseline, energy_estimate, infer,
-                             map_weights)
+                             crossbar_power_ideal, digital_baseline,
+                             energy_estimate, infer, map_weights)
 from xbarsim.neuron import KCL_TOL, SolverError, reference_params, solve_dc
 
 from oracles import solved_readout
@@ -52,7 +51,8 @@ class TestMapping:
         w = rng.uniform(-1, 1, size=(6, 5))
         m = mapped(w, bits=bits, w_ref=1.0)
         half_lsb = 0.5 / ((1 << bits) - 1)
-        assert np.max(np.abs(dequantize(m) - w)) <= half_lsb + 1e-12
+        w_q = ((m.g_plus.g - m.g_minus.g) / m.scale).T
+        assert np.max(np.abs(w_q - w)) <= half_lsb + 1e-12
 
     def test_tie_rounds_away_from_zero(self):
         # with 1 bit there are 2 levels; |w| = 0.5 exactly at the midpoint
@@ -62,7 +62,7 @@ class TestMapping:
     def test_orientation_transposed(self):
         m = mapped(np.zeros((3, 7)))
         assert m.g_plus.g.shape == (7, 3)
-        assert m.n_in == 7 and m.n_out == 3
+        assert m.n_out == 3
 
     def test_bits_validation(self):
         with pytest.raises(ValueError):
@@ -98,9 +98,16 @@ class TestInference:
         layers = [LayerSpec(np.ones((2, 2)))]
         with pytest.raises(ValueError):
             infer(layers, np.zeros(2), Fidelity.CIRCUIT_IDEAL)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="circuit_ideal fidelity needs MappedLayer"):
             infer(layers, np.zeros(2), Fidelity.CIRCUIT_IDEAL,
                   CircuitContext(neuron=reference_params()))
+        with pytest.raises(ValueError, match="CircuitContext"):
+            infer([mapped(np.ones((2, 2)))], np.zeros(2), Fidelity.CIRCUIT_IDEAL)
+
+    def test_ideal_math_needs_layer_specs(self):
+        layers = [LayerSpec(np.ones((2, 2))), mapped(np.ones((1, 2)))]
+        with pytest.raises(ValueError, match="ideal_math fidelity needs LayerSpec"):
+            infer(layers, np.zeros(2), Fidelity.IDEAL_MATH)
 
     def test_circuit_ideal_matches_ideal_math_high_bits(self):
         rng = np.random.default_rng(0)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from xbarsim.devices import MosEval, MosParams, Region
 from xbarsim.montecarlo import MismatchSpec, run_mc, run_rng, sample_params
 from xbarsim.neuron import (KCL_TOL, DacSpec, OperatingPoint, RgcParams,
-                            SolverError, dac_current, gain_numeric, gm_tuned,
-                            reference_params, rout_numeric, small_signal,
-                            solve_dc, transfer_curve, zin_numeric)
+                            SolverError, dac_current, gm_tuned, reference_params,
+                            small_signal, solve_dc, transfer_curve)
 from xbarsim.sar import sar_calibrate
 
-from oracles import (bisect, chain_solve_dc, kcl_residual, reference_rout_numeric,
-                     reference_solve_dc)
+from oracles import (bisect, chain_solve_dc, gain_numeric, kcl_residual,
+                     reference_mos_current_signed, reference_rout_numeric,
+                     reference_solve_dc, zin_numeric)
 
 
 def lam0_params(**overrides) -> RgcParams:
@@ -169,9 +169,10 @@ class TestKclChainOracle:
 
 
 class TestArrayReferenceSolve:
-    """solve_dc and rout_numeric against the numpy-array solves they
-    replaced (tests/oracles.py): the same OperatingPoint, iterations and
-    residual included, or the same SolverError text."""
+    """solve_dc against the numpy-array solve it replaced (tests/oracles.py):
+    the same OperatingPoint, iterations and residual included, or the same
+    SolverError text. Also the array solve's output probe, which acceptance
+    3 reads, against the exact derivative of its network."""
 
     @staticmethod
     def _outcomes(p, i_in, code, out_code):
@@ -217,12 +218,10 @@ class TestArrayReferenceSolve:
         p = reference_params()
         with np.errstate(**state):
             before = np.geterr()
-            op = solve_dc(p)
+            solve_dc(p)
             assert np.geterr() == before
             with pytest.raises(SolverError, match="singular Jacobian at iteration 3"):
                 solve_dc(p, -10.7e-6, 20)
-            assert np.geterr() == before
-            rout_numeric(p, op)
             assert np.geterr() == before
 
     @pytest.mark.parametrize("run,code,i_in", [(None, 0, 0.0), (None, 20, -2e-6),
@@ -234,7 +233,15 @@ class TestArrayReferenceSolve:
             p = sample_params(p, MismatchSpec(), run_rng(3, run))
         op = solve_dc(p, i_in, code)
         assert op == reference_solve_dc(p, i_in, code)
-        assert rout_numeric(p, op) == reference_rout_numeric(p, op)
+        # with X and G pinned, the probe network's Jacobian gives
+        # d v_out / d i_probe = (gm3 + gds3 + gds1) / (gds1 * gds3) exactly;
+        # the central difference meets it to a few 1e-9
+        _, _, gds1 = reference_mos_current_signed(p.m1, op.v_gate1 - op.v_in,
+                                                  op.v_mid - op.v_in)
+        _, gm3, gds3 = reference_mos_current_signed(p.m3, p.vb3 - op.v_mid,
+                                                    op.v_out - op.v_mid)
+        exact = (gm3 + gds3 + gds1) / (gds1 * gds3)
+        assert reference_rout_numeric(p, op) == pytest.approx(exact, rel=1e-7)
 
     def test_with_devices_keeps_every_other_field(self):
         p = RgcParams(m1=MosParams(1e-3, 0.3, 0.05), m2=MosParams(2e-4, 0.4, 0.05),
@@ -337,7 +344,7 @@ class TestNumericValidation:
         p = reference_params()
         op = solve_dc(p)
         ss = small_signal(p, op)
-        r = rout_numeric(p, op)
+        r = reference_rout_numeric(p, op)
         assert abs(r - ss.rout) / ss.rout < 0.25
 
 
