@@ -49,8 +49,8 @@ class DacSpec:
     nbits: int
 
     def __post_init__(self):
-        if self.i_unit <= 0.0:
-            raise ValueError(f"i_unit must be > 0, got {self.i_unit}")
+        if not 0.0 < self.i_unit < math.inf:
+            raise ValueError(f"i_unit must be finite and > 0, got {self.i_unit}")
         if not (1 <= self.nbits <= 24):
             raise ValueError(f"nbits must be in [1, 24], got {self.nbits}")
 
@@ -81,14 +81,15 @@ class RgcParams:
     dac_out: DacSpec = DacSpec(i_unit=0.125e-6, nbits=6)
 
     def __post_init__(self):
-        if self.ib <= 0.0 or self.ib2 <= 0.0:
-            raise ValueError("bias currents must be > 0")
-        if self.vdd <= 0.0:
-            raise ValueError("vdd must be > 0")
-        if self.ro_b2 <= 0.0:
-            raise ValueError("ro_b2 must be > 0 (inf for an ideal source)")
-        if self.r_load <= 0.0:
-            raise ValueError("r_load must be > 0")
+        # the config's bounds, each written so that NaN fails it
+        for name in ("ib", "ib2", "vdd", "r_load"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not self.ro_b2 > 0.0:
+            raise ValueError(f"ro_b2 must be > 0 (inf for an ideal source), got {self.ro_b2}")
+        for name in ("vc", "vb3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def with_devices(self, m1=None, m2=None, m3=None, m5=None) -> "RgcParams":
         return replace(self, m1=m1 or self.m1, m2=m2 or self.m2, m3=m3 or self.m3,
@@ -148,51 +149,11 @@ class SmallSignalReport:
     gm_tuned: float   # tuned effective transconductance of the RGC transconductor
 
 
-def _newton(residual_jac, v: list) -> tuple[list, int, float]:
-    """Damped Newton: step halving on residual-norm increase. Iterates and
-    residuals are lists of Python floats; only the linear step uses numpy.
-
-    The step calls the gufunc that np.linalg.solve dispatches to for a 1-D
-    right-hand side (LAPACK dgesv), under the FP-error policy that solve
-    sets on every call, set once per call here, with a singular matrix
-    raising instead of calling a handler. Same kernel, same float64 inputs,
-    same policy: the iterates are bit-identical to np.linalg.solve's.
-    TestArrayReferenceSolve checks that against the array oracle, so a numpy
-    upgrade that changes the kernel or the policy fails there. The step
-    solves J d = f and subtracts t*d: the pivoting never looks at the
-    right-hand side and round-to-nearest is symmetric under negation, so
-    this is the x + t*dv of J dv = -f to the bit.
-    """
-    f, jac = residual_jac(v)
-    norm = max(map(abs, f))
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-        for it in range(1, MAX_ITER + 1):
-            if norm <= KCL_TOL * 1e-3:
-                return v, it - 1, norm
-            try:
-                d = _solve1(jac, f, signature="dd->d").tolist()
-            except FloatingPointError as e:
-                raise SolverError(f"singular Jacobian at iteration {it}") from e
-            t = 1.0
-            for _ in range(MAX_HALVINGS + 1):
-                v_new = [x - t * di for x, di in zip(v, d)]
-                f_new, jac_new = residual_jac(v_new)
-                norm_new = max(map(abs, f_new))
-                if norm_new < norm or norm_new <= KCL_TOL * 1e-3:
-                    break
-                t *= 0.5
-            if norm_new >= norm:
-                if norm <= KCL_TOL:
-                    return v, it, norm  # converged; damping makes no further progress
-                raise SolverError(f"Newton stalled at iteration {it}: residual {norm:.3e} A")
-            v, f, jac, norm = v_new, f_new, jac_new, norm_new
-    if norm <= KCL_TOL:
-        return v, MAX_ITER, norm
-    raise SolverError(f"Newton did not converge: last residual {norm:.3e} A")
-
-
 def check_input_current(p: RgcParams, i_in: float) -> None:
-    """Raise SolverError if i_in leaves M1, which carries ib - i_in, no current."""
+    """Raise SolverError if i_in is not finite, or if it leaves M1, which
+    carries ib - i_in, no current."""
+    if not math.isfinite(i_in):
+        raise SolverError(f"input current {i_in} is not finite")
     if p.ib - i_in <= 0.0:
         raise SolverError(f"input current {i_in:.6g} exceeds main bias {p.ib:.6g}: M1 forced "
                           "into cutoff (infeasible bias)")
@@ -200,51 +161,90 @@ def check_input_current(p: RgcParams, i_in: float) -> None:
 
 def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
              out_code: int = 0) -> OperatingPoint:
-    """Solve the neuron's DC operating point by damped Newton iteration.
+    """Solve the neuron's DC operating point by damped Newton iteration,
+    halving the step while the residual norm does not fall.
 
-    Unknowns are (v_in, v_gate1, v_mid, v_out). With lambda = 0 and an
-    ideal I_B2 source the input node has the closed form
+    Unknowns are (v_in, v_gate1, v_mid, v_out), held as Python floats. With
+    lambda = 0 and an ideal I_B2 source the input node has the closed form
     v_in = vt2 + sqrt(2*(ib2 + i_dac)/beta2), which external oracles use.
+
+    The iterates must stay bit-identical to np.linalg.solve's. The step
+    calls the gufunc that solve dispatches to for a 1-D right-hand side
+    (LAPACK dgesv) on float64 arrays, under the FP-error policy that solve
+    sets on every call, set once per call here, so a singular matrix raises
+    instead of calling a handler. TestArrayReferenceSolve checks that
+    against the array oracle, so a numpy upgrade that changes the kernel or
+    the policy fails there. The step solves J d = f and subtracts t*d: the
+    pivoting never looks at the right-hand side and round-to-nearest is
+    symmetric under negation, so this is the v + t*dv of J dv = -f to the bit.
     """
     i_dac = dac_current(p.dac, code)
     i_daco = dac_current(p.dac_out, out_code)
     i_fb = p.ib2 + i_dac
-    if i_fb <= 0.0:
-        raise SolverError("feedback branch current must be > 0")
     check_input_current(p, i_in)
     g_b2 = 0.0 if math.isinf(p.ro_b2) else 1.0 / p.ro_b2
     g_l = 1.0 / p.r_load
+    m1, m2, m3, ib, vdd, vb3 = p.m1, p.m2, p.m3, p.ib, p.vdd, p.vb3
 
-    def residual_jac(v):
-        vin, vg, vy, vo = v
-        i1, d1g, d1d = mos_current_signed(p.m1, vg - vin, vy - vin)
-        i2, d2g, d2d = mos_current_signed(p.m2, vin, vg)
-        i3, d3g, d3d = mos_current_signed(p.m3, p.vb3 - vy, vo - vy)
-        f = [
-            i_in + i1 - p.ib,
-            i_fb + (p.vdd - vg) * g_b2 - i2,
-            i3 - i1,
-            (p.vdd - vo) * g_l + i_daco - i3,
-        ]
-        jac = [
-            [-(d1g + d1d), d1g, d1d, 0.0],
-            [-d2g, -g_b2 - d2d, 0.0, 0.0],
-            [d1g + d1d, -d1g, -(d3g + d3d) - d1d, d3d],
-            [0.0, 0.0, d3g + d3d, -g_l - d3d],
-        ]
-        return f, jac
+    def kcl(vin, vg, vy, vo):
+        """KCL residuals at X, G, Y and O, the six device partials, the norm."""
+        i1, d1g, d1d = mos_current_signed(m1, vg - vin, vy - vin)
+        i2, d2g, d2d = mos_current_signed(m2, vin, vg)
+        i3, d3g, d3d = mos_current_signed(m3, vb3 - vy, vo - vy)
+        r0 = i_in + i1 - ib
+        r1 = i_fb + (vdd - vg) * g_b2 - i2
+        r2 = i3 - i1
+        r3 = (vdd - vo) * g_l + i_daco - i3
+        return ((r0, r1, r2, r3), (d1g, d1d, d2g, d2d, d3g, d3d),
+                max(abs(r0), abs(r1), abs(r2), abs(r3)))
 
     # closed-form-flavored initial guess
-    vin0 = p.m2.vt + math.sqrt(2.0 * i_fb / p.m2.beta)
-    vg0 = vin0 + p.m1.vt + math.sqrt(2.0 * max(p.ib - i_in, 1e-12) / p.m1.beta)
-    vy0 = max(p.vb3 - p.m3.vt - math.sqrt(2.0 * max(p.ib - i_in, 1e-12) / p.m3.beta),
-              vin0 + 0.05)
-    vo0 = p.vdd - p.r_load * (p.ib - i_in - i_daco)
-    (vin, vg, vy, vo), iters, norm = _newton(residual_jac, [vin0, vg0, vy0, vo0])
-
-    e1 = mos_eval(p.m1, vg - vin, vy - vin) if vy >= vin else None
-    e2 = mos_eval(p.m2, vin, vg) if vg >= 0 else None
-    e3 = mos_eval(p.m3, p.vb3 - vy, vo - vy) if vo >= vy else None
+    vin0 = m2.vt + math.sqrt(2.0 * i_fb / m2.beta)
+    vg0 = vin0 + m1.vt + math.sqrt(2.0 * max(ib - i_in, 1e-12) / m1.beta)
+    vy0 = max(vb3 - m3.vt - math.sqrt(2.0 * max(ib - i_in, 1e-12) / m3.beta), vin0 + 0.05)
+    vo0 = vdd - p.r_load * (ib - i_in - i_daco)
+    v = (vin0, vg0, vy0, vo0)
+    f, dev, norm = kcl(*v)
+    # per call, not shared: the gufunc releases the GIL
+    jac, res = np.zeros((4, 4)), np.empty(4)
+    jm, rm = memoryview(jac), memoryview(res)
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        for it in range(1, MAX_ITER + 1):
+            if norm <= KCL_TOL * 1e-3:
+                iters = it - 1
+                break
+            d1g, d1d, d2g, d2d, d3g, d3d = dev
+            jm[0, 0], jm[0, 1], jm[0, 2] = -(d1g + d1d), d1g, d1d
+            jm[1, 0], jm[1, 1] = -d2g, -g_b2 - d2d
+            jm[2, 0], jm[2, 1], jm[2, 2], jm[2, 3] = d1g + d1d, -d1g, -(d3g + d3d) - d1d, d3d
+            jm[3, 2], jm[3, 3] = d3g + d3d, -g_l - d3d
+            rm[0], rm[1], rm[2], rm[3] = f
+            try:
+                s0, s1, s2, s3 = _solve1(jac, res, signature="dd->d").tolist()
+            except FloatingPointError as e:
+                raise SolverError(f"singular Jacobian at iteration {it}") from e
+            vin, vg, vy, vo = v
+            t = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                v_new = (vin - t * s0, vg - t * s1, vy - t * s2, vo - t * s3)
+                f_new, dev_new, norm_new = kcl(*v_new)
+                if norm_new < norm or norm_new <= KCL_TOL * 1e-3:
+                    break
+                t *= 0.5
+            if norm_new >= norm:
+                if norm > KCL_TOL:
+                    raise SolverError(f"Newton stalled at iteration {it}: residual {norm:.3e} A")
+                iters = it  # converged; damping makes no further progress
+                break
+            v, f, dev, norm = v_new, f_new, dev_new, norm_new
+        else:
+            if norm > KCL_TOL:
+                raise SolverError(f"Newton did not converge: last residual {norm:.3e} A")
+            iters = MAX_ITER
+    vin, vg, vy, vo = v
+    e1 = mos_eval(m1, vg - vin, vy - vin) if vy >= vin else None
+    e2 = mos_eval(m2, vin, vg) if vg >= 0 else None
+    e3 = mos_eval(m3, vb3 - vy, vo - vy) if vo >= vy else None
     if e1 is None or e2 is None or e3 is None:
         raise SolverError("converged to a reversed drain-source pair; bias infeasible")
     for name, e in (("m1", e1), ("m2", e2), ("m3", e3)):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from xbarsim import neuron
 from xbarsim.devices import MosEval, MosParams, Region
 from xbarsim.montecarlo import MismatchSpec, run_mc, run_rng, sample_params
 from xbarsim.neuron import (KCL_TOL, DacSpec, OperatingPoint, RgcParams,
@@ -13,6 +14,7 @@ from xbarsim.neuron import (KCL_TOL, DacSpec, OperatingPoint, RgcParams,
                             small_signal, solve_dc, transfer_curve)
 from xbarsim.sar import sar_calibrate
 
+import oracles
 from oracles import (bisect, chain_solve_dc, gain_numeric, kcl_residual,
                      reference_mos_current_signed, reference_rout_numeric,
                      reference_solve_dc, zin_numeric)
@@ -53,6 +55,30 @@ class TestDac:
         dac = DacSpec(0.125e-6, 6)
         vals = [dac_current(dac, c) for c in range(64)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestNonFiniteInputs:
+    """Each bound is written so that NaN fails it; a NaN parameter used to
+    run Newton to its budget and report a residual of nan A."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("ib", math.nan), ("ib", math.inf), ("ib2", math.nan), ("vdd", math.nan),
+        ("vdd", math.inf), ("r_load", math.nan), ("r_load", math.inf),
+        ("ro_b2", math.nan), ("ro_b2", 0.0), ("vb3", math.nan), ("vb3", -math.inf),
+        ("vc", math.nan), ("vc", math.inf)])
+    def test_neuron_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(reference_params(), **{field: value})
+
+    @pytest.mark.parametrize("i_unit", [math.nan, math.inf])
+    def test_dac_unit_rejected(self, i_unit):
+        with pytest.raises(ValueError, match="i_unit"):
+            DacSpec(i_unit, 6)
+
+    @pytest.mark.parametrize("i_in", [math.nan, math.inf, -math.inf])
+    def test_input_current_rejected(self, i_in):
+        with pytest.raises(SolverError, match=r"^input current -?(nan|inf) is not finite$"):
+            solve_dc(reference_params(), i_in)
 
 
 class TestDcClosedForm:
@@ -184,14 +210,20 @@ class TestArrayReferenceSolve:
                 out.append(f"SolverError: {e}")
         return out
 
+    # lam0_params has an ideal I_B2 source and lambda = 0: g_b2 = 0 and a
+    # zero saturation gds put signed zeros into the Jacobian
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), run=st.integers(0, 10_000),
            sigma_scale=st.floats(0.0, 3.0), code=st.integers(0, 63),
-           out_code=st.integers(0, 63), i_in=st.floats(-12e-6, 6e-6))
-    @example(seed=1793829076, run=23, sigma_scale=1.0, code=32, out_code=0, i_in=0.0)
-    @example(seed=0, run=0, sigma_scale=0.0, code=20, out_code=0, i_in=-10.7e-6)
-    def test_solve_dc_matches_reference(self, seed, run, sigma_scale, code, out_code, i_in):
-        p = sample_params(reference_params(),
+           out_code=st.integers(0, 63), i_in=st.floats(-12e-6, 6e-6),
+           nominal=st.sampled_from([reference_params, lam0_params]))
+    @example(seed=1793829076, run=23, sigma_scale=1.0, code=32, out_code=0, i_in=0.0,
+             nominal=reference_params)
+    @example(seed=0, run=0, sigma_scale=0.0, code=20, out_code=0, i_in=-10.7e-6,
+             nominal=reference_params)
+    def test_solve_dc_matches_reference(self, seed, run, sigma_scale, code, out_code, i_in,
+                                        nominal):
+        p = sample_params(nominal(),
                           MismatchSpec(10e-3 * sigma_scale, 0.02 * sigma_scale),
                           run_rng(seed, run))
         new, ref = self._outcomes(p, i_in, code, out_code)
@@ -205,6 +237,21 @@ class TestArrayReferenceSolve:
         assert self._outcomes(p, 0.0, 32, 0) == [f"SolverError: {msg}"] * 2
         res = run_mc(reference_params(), MismatchSpec(), 25, 1793829076, True, 0.65, 6)
         assert res.failures == [(23, msg)]
+
+    def test_newton_budget_exits_match_reference(self, monkeypatch):
+        # at a budget of 2 iterations both exhaustion exits are reached: a
+        # residual already under KCL_TOL is returned, a larger one is an error
+        monkeypatch.setattr(neuron, "MAX_ITER", 2)
+        monkeypatch.setattr(oracles, "MAX_ITER", 2)
+        outcomes = {}
+        for code in range(0, 64, 4):
+            p = sample_params(reference_params(), MismatchSpec(), run_rng(3, code))
+            new, ref = self._outcomes(p, 0.0, code, 0)
+            assert new == ref
+            outcomes[code] = new
+        assert outcomes[0].iterations == 2 and outcomes[0].residual <= KCL_TOL
+        assert outcomes[20] == "SolverError: Newton did not converge: last residual 4.713e-12 A"
+        assert {type(o) for o in outcomes.values()} == {OperatingPoint, str}
 
     def test_known_singular_jacobian_pinned(self):
         # no rail on the feedback node: v_gate1 runs far above vdd here
