@@ -405,9 +405,9 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
     currents[:, ends] = v_free / r_neuron[ends]
 
     # Tellegen's powers, per tile one dot product of contiguous operands (BLAS sums
-    # a strided one in another order); a voltage driver sends its feed's or row's current
-    dual = v_src if not voltage_mode else \
-        i_b[2][..., 0] if r_row > 0.0 else np.cumsum(i_b[0], 2)[..., -1]
+    # a strided one in another order). By KCL a voltage driver sends its row's
+    # cross-point currents summed; its feed segment's drop would lose digits
+    dual = np.cumsum(i_b[0], 2)[..., -1] if voltage_mode else v_src
     p_source = [float(drive @ np.ascontiguousarray(dual[t])) for t in range(k)]
     p_dissipated = [float(np.concatenate([a[t] for a in i_b], None)
                           @ np.concatenate([u[t] for u in dv], None)) for t in range(k)]

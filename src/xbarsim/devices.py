@@ -3,6 +3,8 @@
 All quantities are SI. Every modelled transistor is NMOS, as in the
 regulated-cascode neuron, so no polarity is modelled. Memristive
 conductances live in crossbar.ConductanceMatrix.
+The square law has one copy, in mos_current_signed, which the neuron's
+Newton calls; mos_eval adds the region and returns an immutable MosEval.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Region(Enum):
@@ -44,9 +47,8 @@ class MosParams:
         return MosParams(beta, self.vt + dvt, self.lam)
 
 
-@dataclass(frozen=True)
-class MosEval:
-    """Operating-region evaluation of a square-law device."""
+class MosEval(NamedTuple):
+    """Operating-region evaluation of a square-law device; immutable, equal by value."""
 
     current: float
     region: Region
@@ -58,18 +60,6 @@ class MosEval:
         return math.inf if self.gds == 0.0 else 1.0 / self.gds
 
 
-def _square_law(p: MosParams, vgs: float, vds: float) -> tuple[float, Region, float, float]:
-    """(current, region, gm, gds) for vds >= 0; the one copy of the formulas."""
-    vov = vgs - p.vt
-    if vov <= 0.0:
-        return 0.0, Region.CUTOFF, 0.0, 0.0
-    if vds < vov:
-        return (p.beta * (vov * vds - 0.5 * vds * vds), Region.TRIODE,
-                p.beta * vds, p.beta * (vov - vds))
-    return (0.5 * p.beta * vov * vov * (1.0 + p.lam * vds), Region.SATURATION,
-            p.beta * vov * (1.0 + p.lam * vds), 0.5 * p.beta * vov * vov * p.lam)
-
-
 def mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:
     """Evaluate drain current and its analytic partial derivatives.
 
@@ -79,7 +69,10 @@ def mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:
     """
     if vds < 0.0:
         raise ValueError(f"vds must be >= 0, got {vds}")
-    return MosEval(*_square_law(p, vgs, vds))
+    i, gm, gds = mos_current_signed(p, vgs, vds)
+    vov = vgs - p.vt
+    region = Region.CUTOFF if vov <= 0.0 else Region.TRIODE if vds < vov else Region.SATURATION
+    return MosEval(i, region, gm, gds)
 
 
 def mos_current_signed(p: MosParams, vgs: float, vds: float) -> tuple[float, float, float]:
@@ -90,8 +83,15 @@ def mos_current_signed(p: MosParams, vgs: float, vds: float) -> tuple[float, flo
     swap: i(vgs, vds) = -i(vgs - vds, -vds).
     """
     if vds >= 0.0:
-        i, _, gm, gds = _square_law(p, vgs, vds)
-        return i, gm, gds
-    i, _, gm, gds = _square_law(p, vgs - vds, -vds)
+        beta, vov = p.beta, vgs - p.vt
+        if vov <= 0.0:
+            return 0.0, 0.0, 0.0
+        if vds < vov:
+            return beta * (vov * vds - 0.5 * vds * vds), beta * vds, beta * (vov - vds)
+        half, clm = 0.5 * beta * vov * vov, 1.0 + p.lam * vds
+        return half * clm, beta * vov * clm, half * p.lam
+    if vds != vds:  # NaN, on which the swap would recurse without end
+        return math.nan, math.nan, math.nan
+    i, gm, gds = mos_current_signed(p, vgs - vds, -vds)
     # chain rule through the swap
     return -i, -gm, gm + gds

@@ -19,13 +19,15 @@ Topology (all NMOS, square-law):
   DAC can inject current into O to trim the output DC point.
 
 The loop M1/M2 divides the input impedance by the feedback gain, which is
-what lets the crossbar column sit near virtual ground.
+what lets the crossbar column sit near virtual ground. The square law's one
+copy is devices.mos_current_signed; OperatingPoint and MosEval are immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
@@ -92,8 +94,9 @@ class RgcParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def with_devices(self, m1=None, m2=None, m3=None, m5=None) -> "RgcParams":
-        return replace(self, m1=m1 or self.m1, m2=m2 or self.m2, m3=m3 or self.m3,
-                       m5=m5 or self.m5)
+        return RgcParams(m1 or self.m1, m2 or self.m2, m3 or self.m3, m5 or self.m5, self.ib,
+                         self.ib2, self.ro_b2, self.vc, self.vdd, self.vb3, self.r_load,
+                         self.dac, self.dac_out)  # in field order: half replace()'s cost
 
 
 def reference_params() -> RgcParams:
@@ -109,9 +112,8 @@ def reference_params() -> RgcParams:
     )
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Solved DC state; KCL residual at every node <= 1 pA."""
+class OperatingPoint(NamedTuple):
+    """Solved DC state, immutable and equal by value; KCL residual <= 1 pA at every node."""
 
     v_in: float
     v_gate1: float
@@ -250,12 +252,9 @@ def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
     for name, e in (("m1", e1), ("m2", e2), ("m3", e3)):
         if e.region is Region.CUTOFF:
             raise SolverError(f"{name} is in cutoff at the solution (infeasible bias)")
-    return OperatingPoint(
-        v_in=vin, v_gate1=vg, v_mid=vy, v_out=vo,
-        i_stack=e1.current, i_fb=i_fb, i_dac_out=i_daco,
-        m1=e1, m2=e2, m3=e3, iterations=iters, residual=norm,
-        code=code, out_code=out_code,
-    )
+    # in field order: keywords would cost more than twice as much
+    return OperatingPoint(vin, vg, vy, vo, e1.current, i_fb, i_daco, e1, e2, e3, iters, norm,
+                          code, out_code)
 
 
 def gm_tuned(p: RgcParams, i_c: float) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -51,9 +52,8 @@ def _fmt(value) -> str:
         return format(value, ".17g")
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, str):
-        import json
-        return json.dumps(value, ensure_ascii=True)
+    if isinstance(value, str):  # what json.dumps(value, ensure_ascii=True) calls
+        return encode_basestring_ascii(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -213,8 +213,11 @@ def reference_solve_network(G: ConductanceMatrix, x: Excitation,
     currents = inflow[term]
     currents[terminated] = v[ends] / r_neuron[terminated]
 
-    # power bookkeeping (Tellegen): source power vs sum over resistive branches
-    p_src = -x.values @ inflow[src] if voltage_mode else x.values @ v[src]
+    # power bookkeeping (Tellegen): source power vs sum over resistive branches.
+    # By KCL a voltage driver sends its row's cross-point currents (the first
+    # rows*cols branches), summed in column order as the solve sums them
+    row_currents = np.cumsum(i_b[:rows * cols].reshape(rows, cols), 1)[:, -1].copy()
+    p_src = x.values @ row_currents if voltage_mode else x.values @ v[src]
     return NodalSolution(neuron_currents=currents, p_source=float(p_src),
                          p_dissipated=float(i_b @ dv))
 
@@ -414,8 +417,11 @@ def reference_block_solve(G: ConductanceMatrix, x: Excitation,
     currents = inflow[term]
     currents[terminated] = v[ends] / r_neuron[terminated]
 
-    # power bookkeeping (Tellegen): source power vs sum over resistive branches
-    p_src = -x.values @ inflow[src] if voltage_mode else x.values @ v[src]
+    # power bookkeeping (Tellegen): source power vs sum over resistive branches.
+    # By KCL a voltage driver sends its row's cross-point currents (the first
+    # rows*cols branches), summed in column order as the solve sums them
+    row_currents = np.cumsum(i_b[:rows * cols].reshape(rows, cols), 1)[:, -1].copy()
+    p_src = x.values @ row_currents if voltage_mode else x.values @ v[src]
     return NodalSolution(neuron_currents=currents, p_source=float(p_src),
                          p_dissipated=float(i_b @ dv))
 

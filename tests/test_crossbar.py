@@ -5,11 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xbarsim import crossbar, network
-from xbarsim.crossbar import (ConductanceMatrix, NonIdealSpec,
+from xbarsim.crossbar import (ConductanceMatrix, ExcitationMode, NonIdealSpec,
                               SingularNetworkError, current_excitation,
                               output_currents_ideal, output_currents_nonideal,
                               voltage_excitation)
@@ -484,6 +484,16 @@ def weakly_grounded_tiles(n, seed=0):
             NonIdealSpec(float(r_row), float(r_col), r_n)
 
 
+@st.composite
+def stacks(draw):
+    """1-3 same-shape tiles under one drive and spec, drawn as tiles() draws
+    one, with wires that may also be open."""
+    G, x, spec = draw(tiles(wire=st.one_of(wires_or_zero, st.just(math.inf))))
+    rng = np.random.default_rng(draw(seeds))
+    more = [random_gmat(rng, G.n_rows, G.n_cols).g for _ in range(draw(st.integers(0, 2)))]
+    return ConductanceMatrix(np.stack([G.g, *more])), x, spec
+
+
 class TestExactSolve:
     """The solve against an exact one, the dense reference refined against
     the circuit's branch currents in extended precision: swept tiles move in
@@ -503,6 +513,37 @@ class TestExactSolve:
                 1e-10 * np.max(np.abs(exact.neuron_currents))
             assert got.p_source == pytest.approx(exact.p_source, rel=1e-10, abs=0)
             assert got.p_dissipated == pytest.approx(exact.p_dissipated, rel=1e-10, abs=0)
+            if x.mode is ExcitationMode.VOLTAGE:
+                # the drivers' currents summed from their rows' cross-points:
+                # 1.8e-14 at worst here; from the feed segments, up to 1.2e-11
+                assert abs(got.p_source - exact.p_dissipated) <= 1e-13 * exact.p_dissipated
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(tiles(), stacks()))
+    def test_voltage_source_power_matches_exact_dissipation(self, stack):
+        # A driver's current is its row's cross-point currents summed (KCL).
+        # p_source sums v_i * I_i, which cancels where drivers circulate
+        # current through open terminations, so the bound scales with
+        # sum |v_i * I_i| <= (potential spread) * sum |v_i| * G_i, G_i the
+        # row's conductance (every node lies between ground and the drives).
+        # Over 3,500 drawn tiles: on the exact voltages, 2.4e-16 of that scale
+        # (from the feed segments: 7.0e-13, beyond 1e-14 on one tile in 20);
+        # the float64 solve, whose p_source is first-order in its voltage
+        # error while p_dissipated is stationary in it, 1.25e-12 (from the
+        # feed segments: 2.3e-12).
+        G, x, spec = stack
+        assume(x.mode is ExcitationMode.VOLTAGE)
+        try:
+            sol = output_currents_nonideal(G, x, spec)
+        except SingularNetworkError:
+            return  # TestStacks and TestBlockSolve check the errors
+        spread = np.ptp(np.append(x.values, 0.0))
+        for g, p_source in zip(np.reshape(G.g, (-1, G.n_rows, G.n_cols)),
+                               np.atleast_1d(sol.p_source)):
+            exact = exact_solve_network(ConductanceMatrix(g, G.g_min, G.g_max), x, spec)
+            scale = spread * (np.abs(x.values) @ g.sum(1))
+            assert abs(exact.p_source - exact.p_dissipated) <= 1e-14 * scale
+            assert abs(p_source - exact.p_dissipated) <= 1e-11 * scale
 
     def test_exact_solve_conserves_charge(self):
         # its residual sums each node's branch currents, so no rounded
@@ -524,16 +565,6 @@ class TestExactSolve:
             misses.append(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
         assert max(misses) <= 4e-10
         assert sum(m > 5e-11 for m in misses) <= 16
-
-
-@st.composite
-def stacks(draw):
-    """1-3 same-shape tiles under one drive and spec, drawn as tiles() draws
-    one, with wires that may also be open."""
-    G, x, spec = draw(tiles(wire=st.one_of(wires_or_zero, st.just(math.inf))))
-    rng = np.random.default_rng(draw(seeds))
-    more = [random_gmat(rng, G.n_rows, G.n_cols).g for _ in range(draw(st.integers(0, 2)))]
-    return ConductanceMatrix(np.stack([G.g, *more])), x, spec
 
 
 def assert_each_tile_alone(sol, G, x, spec):

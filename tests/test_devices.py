@@ -137,6 +137,13 @@ def test_square_law_matches_reference(beta, vt, lam, vgs, vds):
             mos_eval(p, vgs, vds)
 
 
+def test_signed_evaluation_propagates_nan():
+    # the source/drain swap must not recurse on a NaN vds
+    for vgs in (0.3, 0.9):
+        assert all(map(math.isnan, mos_current_signed(NOM, vgs, math.nan)))
+        assert all(map(math.isnan, reference_mos_current_signed(NOM, vgs, math.nan)))
+
+
 def test_perturbed_matches_replace():
     p = MosParams(beta=200e-6, vt=0.4, lam=0.05)
     q = p.perturbed(0.01, -0.02)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarsim import experiments
+from xbarsim import experiments, reports
 from xbarsim.cli import main
 from xbarsim.config import (_LAYER, _SCHEMA, ConfigError, load_config, parse_config,
                             parse_engineering)
@@ -420,6 +420,15 @@ class TestCanonicalJson:
     def test_non_finite(self):
         assert canonical_json({"x": math.inf}) == '{"x":"inf"}'
         assert canonical_json({"x": math.nan}) == '{"x":"nan"}'
+
+    # any code point: non-ASCII, control characters and lone surrogates,
+    # which characters() leaves out unless asked for them by range
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.one_of(st.characters(exclude_categories=()),
+                             st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                                           exclude_categories=()))))
+    def test_strings_escaped_as_json_dumps(self, s):
+        assert reports._fmt(s) == json.dumps(s, ensure_ascii=True)
 
 
 class TestExperiments:

@@ -300,6 +300,17 @@ class TestArrayReferenceSolve:
         assert p.with_devices() == p
 
 
+def test_solved_records_are_immutable_values():
+    op, again = solve_dc(reference_params()), solve_dc(reference_params())
+    assert op == again and op is not again and op.m1 == again.m1
+    assert op != op._replace(v_in=op.v_in + 1e-3)
+    assert op.m2 != op.m2._replace(gm=2.0 * op.m2.gm)
+    for record, name in [(op, "v_in"), (op, "m1"), (op, "code"), (op.m1, "current"),
+                         (op.m2, "region"), (op.m3, "gds"), (op, "unknown_field")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+
+
 class TestSmallSignalFormulas:
     def _op(self, gm1, gm2, ro2, gm3, ro3, ro1):
         sat = Region.SATURATION
@@ -349,8 +360,7 @@ class TestSmallSignalFormulas:
     def test_precondition_checked(self):
         p = lam0_params()
         op = self._op(100e-6, 100e-6, 500e3, 100e-6, 500e3, 500e3)
-        bad = OperatingPoint(**{**op.__dict__,
-                                "m2": MosEval(4e-6, Region.TRIODE, 1e-4, 1e-5)})
+        bad = op._replace(m2=MosEval(4e-6, Region.TRIODE, 1e-4, 1e-5))
         with pytest.raises(ValueError):
             small_signal(p, bad)
 
