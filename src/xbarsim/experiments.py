@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import MAX_COUNT, NUMBER, ConfigError, SimConfig
-from .crossbar import ConductanceMatrix
+from .crossbar import (ConductanceMatrix, NonIdealSpec, output_currents_nonideal,
+                       voltage_excitation)
 from .montecarlo import run_mc
 from .network import (Activation, CircuitContext, Fidelity, LayerSpec,
-                      crossbar_power_ideal, digital_baseline, energy_estimate,
-                      infer, map_weights)
+                      digital_baseline, energy_estimate, infer, map_weights)
 from .neuron import small_signal, solve_dc
 from .reports import ReportRecord, config_digest
 from .sar import sar_normalized_converge
@@ -180,7 +180,7 @@ def run_experiment(cfg: SimConfig, kind: ExperimentKind,
         G = _crossbar(cfg)
         e = cfg["energy"]
         v = np.full(G.n_rows, cfg["network"]["v_read"])
-        p_xbar = crossbar_power_ideal(G, v)
+        p_xbar = output_currents_nonideal(G, voltage_excitation(v), NonIdealSpec()).p_dissipated
         n_neurons = G.n_cols
         n_mac = G.n_rows * G.n_cols
         baseline = digital_baseline(n_mac, e["e_mac"], n_neurons, e["e_act"])

@@ -10,9 +10,11 @@ has v_out = vdd - r_load*(ib - i_in - i_dac_out), free of device parameters,
 so no neuron is solved per input. Every circuit tier reports an input
 current at or above the main bias as a failure. Mismatched neurons are still
 sampled and SAR-trimmed once per CircuitContext, to report calibration
-failures. All three tiers run through one forward loop in infer, and
-CIRCUIT_NONIDEAL solves each layer's pair as one stack of two tiles, in one
-nodal call per layer.
+failures. All three tiers run through one forward loop in infer. Both
+circuit tiers solve each layer's pair as one stack of two tiles, in one
+nodal call per layer, and price its power by the solve's Tellegen sum: the
+ideal crossbar is the nodal one with a zero NonIdealSpec, which
+CIRCUIT_NONIDEAL also solves when its context sets no spec.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from enum import Enum
 
 import numpy as np
 
-from .crossbar import (ConductanceMatrix, NonIdealSpec, output_currents_ideal,
-                       output_currents_nonideal, voltage_excitation)
+from .crossbar import (ConductanceMatrix, NonIdealSpec, output_currents_nonideal,
+                       voltage_excitation)
+# output_currents_ideal is unused here; the benchmark tracer patches it by this name
+from .crossbar import output_currents_ideal  # noqa: F401
 from .montecarlo import MismatchSpec, run_rng, sample_params
 # transfer_curve is unused here; the benchmark tracer patches it by this name
 from .neuron import (RgcParams, SolverError, check_input_current,  # noqa: F401
@@ -124,10 +128,12 @@ class InferenceResult:
 
 @dataclass(frozen=True)
 class CircuitContext:
-    """Shared circuit-level settings for crossbar-backed inference. With a
-    mismatch spec the context is one chip: each neuron is a seeded mismatched
-    instance, sampled and SAR-trimmed to vref_in once, on first use, and its
-    calibration failures are reported on every input. Bits are i_diff >= 0."""
+    """Shared circuit-level settings for crossbar-backed inference. nonideal
+    is the wiring that CIRCUIT_NONIDEAL solves; CIRCUIT_IDEAL, or no spec,
+    solves a zero NonIdealSpec. With a mismatch spec the context is one chip:
+    each neuron is a seeded mismatched instance, sampled and SAR-trimmed to
+    vref_in once, on first use, and its calibration failures are reported on
+    every input. Bits are i_diff >= 0."""
 
     neuron: RgcParams
     v_read: float = 0.1           # volts per unit input
@@ -168,6 +174,8 @@ def infer(layers, x, fidelity: Fidelity,
     if not ideal and ctx is None:
         raise ValueError("circuit fidelities need a CircuitContext")
     mismatched = nonideal and ctx.mismatch is not None
+    # the ideal crossbar is the nodal one with no wire or neuron resistance
+    spec = ctx.nonideal if nonideal and ctx.nonideal is not None else NonIdealSpec()
     pres, bits, failures = [], [], []
     p_crossbar = 0.0
     v = np.asarray(x, dtype=float)
@@ -176,20 +184,9 @@ def infer(layers, x, fidelity: Fidelity,
             pre = layer.weights @ v
             b = pre >= 0.0
         else:
-            exc = voltage_excitation(v * ctx.v_read)
-            if nonideal and ctx.nonideal is not None:
-                sol = output_currents_nonideal(layer.pair, exc, ctx.nonideal)
-                (i_plus, i_minus), (p_plus, p_minus) = sol.neuron_currents, sol.p_dissipated
-                p_crossbar += float(p_plus) + float(p_minus)
-            else:
-                # a branch of its own: the zero-spec nodal solve gives the same
-                # bits, up to a flipped exact tie, but costs 26 -> 218 us per input
-                # at 16-8-4 and 100 us -> 1.42 ms at 256-128-10 (no mismatch;
-                # one BLAS thread, 2 shared vCPUs)
-                i_plus = output_currents_ideal(layer.g_plus, exc)
-                i_minus = output_currents_ideal(layer.g_minus, exc)
-                p_crossbar += (crossbar_power_ideal(layer.g_plus, exc.values)
-                               + crossbar_power_ideal(layer.g_minus, exc.values))
+            sol = output_currents_nonideal(layer.pair, voltage_excitation(v * ctx.v_read), spec)
+            (i_plus, i_minus), (p_plus, p_minus) = sol.neuron_currents, sol.p_dissipated
+            p_crossbar += float(p_plus) + float(p_minus)
             i_diff = i_plus - i_minus
             pre = i_diff / (layer.scale * ctx.v_read)
             # Newton leaves v_out within 3*r_load*KCL_TOL of the closed form, so a solved
@@ -243,12 +240,6 @@ class EnergyReport:
         }
 
 
-def crossbar_power_ideal(G: ConductanceMatrix, voltages) -> float:
-    """Sum_ij V_i^2 * G_ij, the power of a voltage-mode run on ideal wires."""
-    v = np.asarray(voltages, dtype=float)
-    return float(v * v @ G.g.sum(axis=1))
-
-
 def energy_estimate(n_neurons: int, t_eval: float,
                     p_crossbar: float = 0.0,
                     p_neuron: float = 43e-6,
@@ -259,10 +250,10 @@ def energy_estimate(n_neurons: int, t_eval: float,
     """Assemble the per-inference energy record.
 
     p_neuron defaults to the measured prototype's 43 uW at 1 V. p_crossbar
-    is the total dissipated crossbar power during the evaluation
-    (crossbar_power_ideal for ideal runs, the Tellegen-summed dissipation
-    for nodal runs). The one-time SAR calibration energy is amortized over a
-    configurable inference count.
+    is the total dissipated crossbar power during the evaluation, the nodal
+    solve's Tellegen-summed dissipation (with ideal wires, sum V^2 G). The
+    one-time SAR calibration energy is amortized over a configurable
+    inference count.
     """
     if t_eval < 0:
         raise ValueError("t_eval must be >= 0")

@@ -321,19 +321,38 @@ def traced_peak(n):
         tracemalloc.stop()
 
 
-def assert_close(sol, ref):
-    """Currents within 1e-10 of the reference's largest, and the solution's
-    own Tellegen balance within 1e-9."""
-    scale = np.max(np.abs(ref.neuron_currents))
-    assert np.max(np.abs(sol.neuron_currents - ref.neuron_currents)) <= 1e-10 * scale
+def leak_scale(G, spec):
+    """eps (rows + cols) max(w) / g_t, w a resistive wire's conductance and
+    g_t the terminations' summed conductance (infinite with a grounded
+    terminal). Each float64 diagonal fl(g + w + w) is off from its branches'
+    sum by up to half an ulp of w, a leak to ground that the terminations
+    must outweigh (ROADMAP item 15): on weakly grounded current-mode tiles
+    the solve misses the exact currents by about this much, relative to the
+    largest."""
+    w = [1.0 / r for r in (spec.r_wire_row, spec.r_wire_col) if 0.0 < r < math.inf]
+    r_n = spec.neuron_resistances(G.n_cols)
+    g_t = np.sum(1.0 / r_n[np.isfinite(r_n)]) if np.all(r_n > 0.0) else math.inf
+    return np.finfo(float).eps * (G.n_rows + G.n_cols) * max(w, default=0.0) / g_t
+
+
+def assert_close_to_exact(sol, exact, G, x, spec):
+    """Currents within 1e-10 of the exact solution's largest, or in current
+    mode within 4 leak scales if that is more, and the solution's own
+    Tellegen balance within 1e-9. The float64 references each miss the
+    exact answer as the solve does, so they are not the target. Under
+    hypothesis seeds 34 and 100-159 the worst miss was 0.24 of this bound."""
+    exact = exact.neuron_currents
+    bound = 1e-10 if x.mode is ExcitationMode.VOLTAGE else max(1e-10, 4 * leak_scale(G, spec))
+    assert np.max(np.abs(sol.neuron_currents - exact)) <= bound * np.max(np.abs(exact))
     assert abs(sol.p_source - sol.p_dissipated) <= \
         1e-9 * max(abs(sol.p_source), abs(sol.p_dissipated))
 
 
 class TestBlockSolve:
-    """The two-layer solve of tiles of several row groups against the dense
-    solve and the row-group block elimination that it replaced; tiles of one
-    group stay one dense solve, bit for bit."""
+    """The two-layer solve of tiles of several row groups against the exact
+    solve, with the errors of the dense solve and of the row-group block
+    elimination that it replaced; tiles of one group stay one dense solve,
+    bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(tiles())
@@ -347,7 +366,7 @@ class TestBlockSolve:
             assert np.array_equal(sol.neuron_currents, ref.neuron_currents)
             assert (sol.p_source, sol.p_dissipated) == (ref.p_source, ref.p_dissipated)
         else:
-            assert_close(sol, ref)
+            assert_close_to_exact(sol, exact_solve_network(G, x, spec), G, x, spec)
 
     @settings(max_examples=200, deadline=None)
     @given(tiles())
@@ -364,28 +383,27 @@ class TestBlockSolve:
 
     @settings(max_examples=200, deadline=None)
     @given(tiles(rows=range(20, 41)))
-    def test_two_layer_matches_both_references(self, tile):
+    def test_two_layer_matches_exact_solve(self, tile):
         G, x, spec = tile
-        refs = [reference_or_same_error(r, G, x, spec)
-                for r in (reference_solve_network, reference_block_solve)]
-        if refs[0] is None or refs[1] is None:
+        # the exact solve is the dense one refined, so it raises the dense one's errors
+        exact, block = [reference_or_same_error(r, G, x, spec)
+                        for r in (exact_solve_network, reference_block_solve)]
+        if exact is None or block is None:
             return
-        sol = output_currents_nonideal(G, x, spec)
-        for ref in refs:
-            assert_close(sol, ref)
+        assert_close_to_exact(output_currents_nonideal(G, x, spec), exact, G, x, spec)
 
     # short and wide: up to about 820 dense unknowns, every row a block of
     # 24 to 48 columns
     @settings(max_examples=100, deadline=None)
     @given(tiles(rows=range(4, 9), cols=range(24, 49), wire=wires))
-    def test_wide_tiles_match_dense_reference(self, tile):
+    def test_wide_tiles_match_exact_solve(self, tile):
         G, x, spec = tile
-        ref = reference_or_same_error(reference_solve_network, G, x, spec)
-        if ref is None:
+        exact = reference_or_same_error(exact_solve_network, G, x, spec)
+        if exact is None:
             return
         sol, split = solve_split(G, x, spec)
         assert split
-        assert_close(sol, ref)
+        assert_close_to_exact(sol, exact, G, x, spec)
 
     @pytest.mark.parametrize("spec", [NonIdealSpec(0.0, 0.0, [100.0, 0.0, math.inf, 1e3]),
                                       NonIdealSpec(0.0, 2.0, [100.0, 0.0, math.inf, 1e3])])
@@ -397,7 +415,7 @@ class TestBlockSolve:
         x = current_excitation(rng.uniform(1e-6, 1e-5, 200))
         sol, split = solve_split(G, x, spec)
         assert split
-        assert_close(sol, reference_solve_network(G, x, spec))
+        assert_close_to_exact(sol, exact_solve_network(G, x, spec), G, x, spec)
 
     @pytest.mark.parametrize("rows,cols,spec,excite,split", [
         # the benchmark self-test's tile and the small layer tile of its network

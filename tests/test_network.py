@@ -16,9 +16,9 @@ from xbarsim.crossbar import (ConductanceMatrix, NodalSolution, NonIdealSpec,
 from xbarsim.experiments import ExperimentKind, run_experiment
 from xbarsim.montecarlo import MismatchSpec, run_rng, sample_params
 from xbarsim.network import (Activation, CircuitContext, Fidelity, LayerSpec,
-                             crossbar_power_ideal, digital_baseline,
-                             energy_estimate, infer, map_weights)
-from xbarsim.neuron import KCL_TOL, SolverError, reference_params, solve_dc
+                             digital_baseline, energy_estimate, infer, map_weights)
+from xbarsim.neuron import (KCL_TOL, SolverError, check_input_current, reference_params,
+                            solve_dc)
 
 from oracles import solved_readout
 
@@ -144,36 +144,52 @@ class TestInference:
            activation=st.sampled_from(Activation), n_inputs=st.integers(1, 3))
     def test_circuit_ideal_is_zero_spec_nodal(self, net_seed, widths, bits, v_read,
                                               activation, n_inputs):
-        # the ideal crossbar is the nodal crossbar with no wire or neuron resistance;
-        # rows leaning to one sign drive some columns past the 5 uA main bias
+        # the ideal crossbar is the nodal crossbar with no wire or neuron resistance:
+        # both circuit tiers without a spec solve it, and it matches each tile's
+        # ideal product; rows leaning to one sign drive some columns past the
+        # 5 uA main bias
         rng = np.random.default_rng(net_seed)
         layers = [mapped(rng.uniform(-1, 1, (n_out, n_in)) + rng.uniform(-1, 1, (n_out, 1)),
                          bits, activation=act)
                   for (n_in, n_out), act in zip(zip(widths, widths[1:]),
                                                 (activation, Activation.THRESHOLD))]
-        ideal = CircuitContext(neuron=reference_params(), v_read=v_read)
-        nodal = CircuitContext(neuron=reference_params(), v_read=v_read,
-                               nonideal=NonIdealSpec(0.0, 0.0, 0.0))
+        ctx = CircuitContext(neuron=reference_params(), v_read=v_read)
+        zero = CircuitContext(neuron=reference_params(), v_read=v_read,
+                              nonideal=NonIdealSpec(0.0, 0.0, 0.0))
         for x in rng.uniform(-1, 1, (n_inputs, widths[0])):
-            a = infer(layers, x, Fidelity.CIRCUIT_IDEAL, ideal)
-            b = infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, nodal)
-            v = x
+            a = infer(layers, x, Fidelity.CIRCUIT_IDEAL, ctx)
+            for got in (infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, ctx),
+                        infer(layers, x, Fidelity.CIRCUIT_NONIDEAL, zero)):
+                assert all(np.array_equal(p, q) for p, q in zip(got.pre_activations,
+                                                                a.pre_activations))
+                assert (got.crossbar_power, got.failures) == (a.crossbar_power, a.failures)
+            v, power, failures = x, 0.0, []
             for li, layer in enumerate(layers):
+                exc = voltage_excitation(v * v_read)
+                i_diff = (output_currents_ideal(layer.g_plus, exc)
+                          - output_currents_ideal(layer.g_minus, exc))
+                want = i_diff / (layer.scale * v_read)
+                power += float(exc.values ** 2 @ (layer.g_plus.g + layer.g_minus.g).sum(1))
                 # the sum of the column currents' magnitudes, in pre-activation units
                 mag = (layer.g_plus.g + layer.g_minus.g).T @ np.abs(v) / layer.scale
-                pa, pb = a.pre_activations[li], b.pre_activations[li]
-                assert np.all(np.abs(pa - pb) <= 1e-12 * mag)
-                clear = np.abs(pa) > 1e-9 * mag
-                assert np.array_equal(a.bits[li][clear], b.bits[li][clear])
-                if not np.array_equal(a.bits[li], b.bits[li]):
+                pre = a.pre_activations[li]
+                assert np.all(np.abs(pre - want) <= 1e-12 * mag)
+                clear = np.abs(want) > 1e-9 * mag
+                assert np.array_equal(a.bits[li][clear], (want >= 0.0)[clear])
+                if not np.array_equal(a.bits[li], want >= 0.0):
                     break  # the next layer sees other inputs
-                v = a.bits[li].astype(float) if layer.activation is Activation.THRESHOLD else pa
+                for j, i in enumerate(i_diff):
+                    try:
+                        check_input_current(ctx.neuron, float(i))
+                    except SolverError as e:
+                        failures.append((li, j, str(e)))
+                v = a.bits[li].astype(float) if layer.activation is Activation.THRESHOLD else pre
             else:
                 # every failure here is an over-bias; its reason prints the input
                 # current to 6 digits, where the two sums agree
-                assert all("exceeds main bias" in r for f in (a, b) for _, _, r in f.failures)
-                assert b.failures == a.failures
-                assert b.crossbar_power == pytest.approx(a.crossbar_power, rel=1e-12)
+                assert all("exceeds main bias" in r for _, _, r in a.failures)
+                assert a.failures == failures
+                assert a.crossbar_power == pytest.approx(power, rel=1e-12, abs=0)
 
     def test_nonideal_degrades_gracefully(self):
         rng = np.random.default_rng(2)
@@ -461,10 +477,8 @@ class TestComparatorReadout:
     def _i_diff(layer, v, ctx):
         """A layer's differential column currents, computed as infer does."""
         exc = voltage_excitation(v * ctx.v_read)
-        if ctx.nonideal is None:
-            return (output_currents_ideal(layer.g_plus, exc)
-                    - output_currents_ideal(layer.g_minus, exc))
-        plus, minus = (output_currents_nonideal(g, exc, ctx.nonideal).neuron_currents
+        spec = NonIdealSpec() if ctx.nonideal is None else ctx.nonideal
+        plus, minus = (output_currents_nonideal(g, exc, spec).neuron_currents
                        for g in (layer.g_plus, layer.g_minus))
         return plus - minus
 
@@ -481,8 +495,11 @@ class TestEnergy:
         G = ConductanceMatrix(np.array([[1e-3, 2e-3], [3e-3, 4e-3]]),
                               g_min=1e-6, g_max=5e-3)
         # sum V^2 G = 0.01*3e-3 + 0.04*7e-3 = 3.1e-4 W; 10 ns -> 3.1 pJ
-        e = crossbar_power_ideal(G, [0.1, 0.2]) * 10e-9
-        assert e == pytest.approx(3.1e-12, rel=1e-12)
+        v = np.array([0.1, 0.2])
+        assert float(v * v @ G.g.sum(1)) * 10e-9 == pytest.approx(3.1e-12, rel=1e-12)
+        # the energy kind prices the crossbar by the zero-spec solve's dissipation
+        sol = output_currents_nonideal(G, voltage_excitation(v), NonIdealSpec())
+        assert sol.p_dissipated * 10e-9 == pytest.approx(3.1e-12, rel=1e-12)
 
     def test_additivity_exact(self):
         rep = energy_estimate(n_neurons=4, t_eval=10e-9, p_crossbar=3.1e-4,
@@ -512,7 +529,7 @@ class TestEnergy:
         g = rng.uniform(1e-6, 1e-3, size=(4, 3))
         G = ConductanceMatrix(g, g_min=1e-6, g_max=1e-3)
         v = rng.uniform(0, 1, 4)
-        p_formula = crossbar_power_ideal(G, v)
+        p_formula = float(v * v @ G.g.sum(1))
         sol = output_currents_nonideal(G, voltage_excitation(v),
                                        NonIdealSpec(0, 0, 0))
         assert sol.p_dissipated == pytest.approx(p_formula, rel=1e-9)

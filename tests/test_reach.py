@@ -28,15 +28,12 @@ DATA = Path(__file__).parent / "data"
 
 # each public def that no CLI kind reaches, and why it stays
 ALLOWED = {
-    "crossbar.output_currents_nonideal":
-        "the nodal solve: the nodal_tiles and infer_nonideal benchmark workloads "
-        "call it, and infer reaches it once a config key sets the wire "
-        "resistances (ROADMAP item 20 step 1)",
-    "crossbar.NonIdealSpec.neuron_resistances":
-        "read by output_currents_nonideal only, as above",
+    "crossbar.output_currents_ideal":
+        "the reference that the nodal_tiles benchmark workload (bench/workloads.py "
+        "check_tile) and the tests compare zero-spec nodal tiles against",
     "crossbar.current_excitation":
-        "the nodal_tiles workload's current-driven tiles; the CLI reaches it with "
-        "the nodal solve (ROADMAP item 20 step 1)",
+        "the nodal_tiles workload's current-driven tiles; every CLI kind drives "
+        "the crossbar by voltage",
     "neuron.transfer_curve":
         "bench/tracer.py patches it as network.transfer_curve until that tracer "
         "target is dropped (ROADMAP item 3)",
