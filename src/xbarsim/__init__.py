@@ -11,8 +11,7 @@ from .crossbar import (ConductanceMatrix, Excitation, ExcitationMode,
 from .neuron import (DacSpec, OperatingPoint, RgcParams, SmallSignalReport,
                      SolverError, dac_current, gm_tuned, reference_params,
                      small_signal, solve_dc, transfer_curve)
-from .sar import (SarResult, sar_calibrate, sar_normalized_converge,
-                  sar_normalized_step)
+from .sar import SarResult, sar_calibrate, sar_normalized_converge
 from .montecarlo import McResult, MismatchSpec, run_mc, run_rng, sample_params
 from .network import (Activation, CircuitContext, EnergyReport, Fidelity,
                       LayerSpec, MappedLayer, digital_baseline,

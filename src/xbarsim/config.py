@@ -108,7 +108,8 @@ _SCHEMA = {
         "m1": _device(_NEURON.m1),
         "m2": _device(_NEURON.m2),
         "m3": _device(_NEURON.m3),
-        "m5": _device(_NEURON.m5),
+        # outside the solved network: gm_tuned reads its beta and vt only
+        "m5": {k: v for k, v in _device(_NEURON.m5).items() if k != "lambda"},
         "ib": ("eng", _NEURON.ib, _POS),
         "ib2": ("eng", _NEURON.ib2, _POS),
         "ro_b2": ("eng", _NEURON.ro_b2, _POS_OR_INF),
@@ -116,8 +117,8 @@ _SCHEMA = {
         "vdd": ("eng", _NEURON.vdd, _POS),
         "vb3": ("eng", _NEURON.vb3, _FINITE),
         "r_load": ("eng", _NEURON.r_load, _POS),
+        # the output DAC has no key: no kind drives its code
         "dac": _dac(_NEURON.dac),
-        "dac_out": _dac(_NEURON.dac_out),
     },
     "crossbar": {
         "g_min": ("eng", 1e-6, _POS),
@@ -180,14 +181,15 @@ class SimConfig:
 
     def neuron_params(self) -> RgcParams:
         n = self.data["neuron"]
-        m1, m2, m3, m5 = (MosParams(n[r]["beta"], n[r]["vt"], n[r]["lambda"])
-                          for r in ("m1", "m2", "m3", "m5"))
+        m1, m2, m3 = (MosParams(n[r]["beta"], n[r]["vt"], n[r]["lambda"])
+                      for r in ("m1", "m2", "m3"))
         return RgcParams(
-            m1=m1, m2=m2, m3=m3, m5=m5,
+            m1=m1, m2=m2, m3=m3,
+            m5=MosParams(n["m5"]["beta"], n["m5"]["vt"], _NEURON.m5.lam),
             ib=n["ib"], ib2=n["ib2"], ro_b2=n["ro_b2"], vc=n["vc"],
             vdd=n["vdd"], vb3=n["vb3"], r_load=n["r_load"],
             dac=DacSpec(n["dac"]["i_unit"], n["dac"]["nbits"]),
-            dac_out=DacSpec(n["dac_out"]["i_unit"], n["dac_out"]["nbits"]),
+            dac_out=_NEURON.dac_out,
         )
 
     def mismatch_spec(self) -> MismatchSpec:

@@ -4,6 +4,7 @@ module and wrap the result in a replayable report record.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from enum import Enum
 from pathlib import Path
@@ -16,7 +17,7 @@ from .crossbar import (ConductanceMatrix, NonIdealSpec, output_currents_nonideal
 from .montecarlo import run_mc
 from .network import (Activation, CircuitContext, Fidelity, LayerSpec,
                       digital_baseline, energy_estimate, infer, map_weights)
-from .neuron import small_signal, solve_dc
+from .neuron import DacSpec, small_signal, solve_dc
 from .reports import ReportRecord, config_digest
 from .sar import sar_normalized_converge
 
@@ -154,7 +155,9 @@ def run_experiment(cfg: SimConfig, kind: ExperimentKind,
                                                   layers[0].weights.shape[1]))
         mapped = [map_weights(l.weights, net["bits"], net["g_min"], net["g_max"],
                               activation=l.activation) for l in layers]
-        ctx = CircuitContext(neuron=p, v_read=net["v_read"],
+        # the chip trims each neuron with sar.nbits, as the mc kind does
+        chip = dataclasses.replace(p, dac=DacSpec(p.dac.i_unit, cfg["sar"]["nbits"]))
+        ctx = CircuitContext(neuron=chip, v_read=net["v_read"],
                              mismatch=cfg.mismatch_spec()
                              if fidelity is Fidelity.CIRCUIT_NONIDEAL else None,
                              mismatch_seed=seed, vref_in=cfg["sar"]["vref_in"])

@@ -9,20 +9,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 
-def sign_plus(t: float) -> float:
-    """Signum with s(0) = +1."""
-    return 1.0 if t >= 0.0 else -1.0
-
-
-def sar_normalized_step(x_prev: float, x: float, i: int) -> float:
-    """One step of the normalized recurrence x_i = x_{i-1} - s(x_{i-1}-x)/2^i."""
-    if i < 1:
-        raise ValueError(f"step index must be >= 1, got {i}")
-    return x_prev - sign_plus(x_prev - x) / (2.0 ** i)
-
-
 def sar_normalized_converge(x: float, n: int) -> tuple[float, list[float]]:
-    """Iterate from x_0 = 0 for n steps; |x_n - x| <= 1/2^n is guaranteed.
+    """Iterate x_i = x_{i-1} - s(x_{i-1} - x)/2^i from x_0 = 0 for n steps,
+    where s is the signum with s(0) = +1; |x_n - x| <= 1/2^n is guaranteed.
 
     Returns (x_n, [x_0 .. x_n]).
     """
@@ -33,7 +22,7 @@ def sar_normalized_converge(x: float, n: int) -> tuple[float, list[float]]:
     xi = 0.0
     traj = [xi]
     for i in range(1, n + 1):
-        xi = sar_normalized_step(xi, x, i)
+        xi -= (1.0 if xi - x >= 0.0 else -1.0) / (2.0 ** i)
         traj.append(xi)
     return xi, traj
 

@@ -200,7 +200,11 @@ def reference_solve_network(G: ConductanceMatrix, x: Excitation,
     try:
         v[unknown] = np.linalg.solve(A, b)
         for _ in range(refine):
-            v[unknown] += np.linalg.solve(A, _branch_residual(v, a, c, g, inject)[unknown])
+            step = v[unknown] + np.linalg.solve(A, _branch_residual(v, a, c, g, inject)[unknown])
+            # a round that moves no voltage leaves every later round the same residual
+            if np.array_equal(step, v[unknown]):
+                break
+            v[unknown] = step
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 
@@ -238,8 +242,9 @@ def _branch_residual(v, a, c, g, inject) -> np.ndarray:
 def exact_solve_network(G: ConductanceMatrix, x: Excitation,
                         spec: NonIdealSpec) -> NodalSolution:
     """reference_solve_network with its dense solve iteratively refined: each
-    of 4 rounds solves the assembled matrix for a correction from
-    _branch_residual. The residual comes from the branch list, not from the
+    of up to 4 rounds solves the assembled matrix for a correction from
+    _branch_residual, and the first round that moves no node voltage ends
+    it. The residual comes from the branch list, not from the
     float64-assembled matrix, whose diagonals fl(g + w + w) each leak up to
     half an ulp of a wire's conductance to ground; so the node voltages
     solve the circuit itself to float64 rounding, and charge is conserved to

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarsim import experiments, reports
+from xbarsim import experiments, network, reports
 from xbarsim.cli import main
 from xbarsim.config import (_LAYER, _SCHEMA, ConfigError, load_config, parse_config,
                             parse_engineering)
@@ -19,6 +19,7 @@ from xbarsim.network import Activation, Fidelity
 from xbarsim.neuron import reference_params
 from xbarsim.reports import (ReportFormat, UnsupportedFormatError,
                              canonical_json, config_digest, emit_report)
+from xbarsim.sar import sar_calibrate
 
 DATA = Path(__file__).parent / "data"
 REF = DATA / "config_ref.json"
@@ -212,6 +213,10 @@ MALFORMED = [
     ({"crossbar": {"cols": 4}}, "crossbar.cols"),
     ({"sar": {"t_step": "1u"}}, "sar.t_step"),
     ({"sar": {"vref_out": 0.95}}, "sar.vref_out"),
+    # keys that changed no answer, deleted: no kind drives the output DAC's
+    # code, and M5 is outside the solved network
+    ({"neuron": {"dac_out": {"i_unit": "125n", "nbits": 6}}}, "neuron.dac_out"),
+    ({"neuron": {"m5": {"lambda": 0.0}}}, "neuron.m5.lambda"),
 ]
 
 
@@ -260,9 +265,9 @@ class TestMalformedConfigs:
         assert cfg["network"]["layers"][1] == {"csv": "w.csv", "values": None,
                                                "activation": "threshold"}
         assert config_digest(cfg.data) == \
-            "e41b7b99fc1b622ca27411bc35edf8fda475354243f044c04b928328f9aac48a"
+            "3af2f521279553014590f1957a23e41c06654090645b8e84c059558679ff8e3c"
         assert config_digest(parse_config("{}").data) == \
-            "18b5ce3d4f03cb3438c490115a32b53badec0b67fe2cbc374af0d42cfa2a675b"
+            "b9af5d5a3a3ea0982571f7c233920e02f4c11674f3af0891c79742f0fa3fd7be"
 
 
 # data files that parse as config but hold bad contents, each with the kind
@@ -505,6 +510,23 @@ class TestExperiments:
         text = emit_report(rec, ReportFormat.TEXT).decode("ascii")
         assert "output_bits = [[" in text
         assert "failures = []" in text
+
+    def test_infer_chip_trims_with_sar_nbits(self, monkeypatch):
+        # the chip's SAR makes sar.nbits decisions per neuron, as the mc kind's does
+        widths = []
+
+        def record(plant, vref, nbits):
+            widths.append(nbits)
+            return sar_calibrate(plant, vref, nbits)
+
+        monkeypatch.setattr(network, "sar_calibrate", record)
+        cfg = parse_config(json.dumps({
+            "sar": {"nbits": 3},
+            "network": {"layers": [{"values": [[1.0, -0.5], [0.25, 0.75]]}],
+                        "n_inputs": 2, "fidelity": "circuit_nonideal"},
+        }))
+        run_experiment(cfg, ExperimentKind.INFER)
+        assert widths == [3, 3]
 
     def test_infer_without_layers_is_config_error(self):
         with pytest.raises(ConfigError, match="layers"):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbarsim.neuron import reference_params, solve_dc
-from xbarsim.sar import (sar_calibrate, sar_normalized_converge, sar_normalized_step,
-                         sign_plus)
+from xbarsim.sar import sar_calibrate, sar_normalized_converge
 
 from oracles import Direction, reference_sar_calibrate
 
@@ -21,15 +20,14 @@ def exhaustive_best(plant, vref, nbits):
 class TestNormalizedRecurrence:
     def test_first_step_from_zero(self):
         # x_0 = 0, target 0.8 -> x_1 = 0 - (-1)/2 = 0.5
-        assert sar_normalized_step(0.0, 0.8, 1) == 0.5
+        assert sar_normalized_converge(0.8, 1) == (0.5, [0.0, 0.5])
 
     def test_second_step(self):
-        assert sar_normalized_step(0.5, 0.8, 2) == 0.75
+        assert sar_normalized_converge(0.8, 2)[1] == [0.0, 0.5, 0.75]
 
     def test_sign_convention_at_zero(self):
-        # s(0) = +1: when x_{i-1} == x the step still subtracts 1/2^i
-        assert sign_plus(0.0) == 1.0
-        assert sar_normalized_step(0.3, 0.3, 3) == pytest.approx(0.3 - 1 / 8)
+        # s(0) = +1: x_1 = 0.5 equals x, and the second step still subtracts 1/4
+        assert sar_normalized_converge(0.5, 2)[1] == [0.0, 0.5, 0.25]
 
     def test_example_4_steps(self):
         xn, traj = sar_normalized_converge(0.3, 4)
@@ -50,8 +48,6 @@ class TestNormalizedRecurrence:
             sar_normalized_converge(1.5, 4)
         with pytest.raises(ValueError):
             sar_normalized_converge(0.5, 0)
-        with pytest.raises(ValueError):
-            sar_normalized_step(0.0, 0.0, 0)
 
 
 class TestCalibrate:
