@@ -9,13 +9,13 @@ resistance. A zero-ohm row wire merges its row into the driver, and a
 zero-ohm column wire its column into the terminal, so the all-ideal case has
 no unknowns and reduces to the matrix-vector product.
 
-A tile too small to fill two runs of MIN_GROUP_UNKNOWNS unknowns is one
-dense solve. A larger one is solved in two layers: one Thomas sweep over
-chain positions condenses every row's chain to a dense cols x cols block on
-its column-side nodes; then, as column wires couple only neighbouring rows,
-one sweep down the rows solves the column side with each row's block as a
-pivot, each row's solve overwriting its block, and back-substitutes up from
-the last row. The chain voltages follow from the column side's through the
+A tile of fewer than MIN_SWEPT_UNKNOWNS unknowns is one dense solve. A
+larger one is solved in two layers: one Thomas sweep over chain positions
+condenses every row's chain to a dense cols x cols block on its column-side
+nodes; then, as column wires couple only neighbouring rows, one sweep down
+the rows solves the column side with each row's block as a pivot, each
+row's solve overwriting its block, and back-substitutes up from the last
+row. The chain voltages follow from the column side's through the
 condensation. Both solves return the chain, column-side and terminal
 voltages, from which the neuron currents and both Tellegen powers follow.
 Live in memory are two arrays: the chains' solutions, L x rows x (cols + 1)
@@ -164,23 +164,21 @@ def output_currents_ideal(G: ConductanceMatrix, x: Excitation) -> np.ndarray:
     return G.g.T @ v_rows
 
 
-# A tile whose rows cannot fill two runs of MIN_GROUP_UNKNOWNS unknowns is
-# one dense solve. First quartiles of 300 calls, dense vs swept (CHANGES.md):
-# up to 128 unknowns one LAPACK call wins (8x4 network tile: 85 vs 122 us),
-# from 144 the row sweep does (6x12: 194 vs 168 us; 11x8: 340 vs 172 us;
-# 16x8 network tile: 725 vs 208 us). Splitting at 144 unknowns in all would
-# sweep such tiles too, but hands more weakly grounded tiles to the tests'
-# float64 references, which miss them by up to a few 1e-10 (ROADMAP item 15).
-MIN_GROUP_UNKNOWNS = 96
+# A tile of fewer unknowns is one dense solve. First quartiles of 300 calls,
+# dense vs swept (CHANGES.md): up to 128 unknowns one LAPACK call wins (8x4
+# network tile: 85 vs 122 us), from 144 the row sweep does (6x12: 194 vs
+# 168 us; 5x16: 232 vs 187 us; 11x8: 339 vs 172 us; 16x8 network tile: 725
+# vs 208 us).
+MIN_SWEPT_UNKNOWNS = 144
 
 
 def _dense(g, drive, voltage_mode, chain, r_col, ends, diag):
-    """Solve one tile of one row group, a stack's tiles in turn, as one dense
-    system, its unknowns in the dense reference's node order: the drivers in
-    current mode, the row wires' and then the column wires' nodes row by
-    row, then the free terminals. Returns one tile's chain (L x rows),
-    column-wire (rows x cols, or 0 x cols when the columns merge into their
-    terminals) and terminal voltages (cols, 0 where grounded)."""
+    """Solve one tile too small for _two_layer as one dense system, its
+    unknowns the drivers in current mode, the row wires' and then the column
+    wires' nodes row by row, then the free terminals. Returns the tile's
+    chain (L x rows), column-wire (rows x cols, or 0 x cols when the columns
+    merge into their terminals) and terminal voltages (cols, 0 where
+    grounded)."""
     rows, cols = g.shape
     d, w_r, pos, unit = chain
     L, lead = len(d), int(not voltage_mode)
@@ -319,21 +317,17 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
     lead = int(not voltage_mode)  # a current driver heads its row's chain
-    # one dense solve per tile unless the rows fill two runs of MIN_GROUP_UNKNOWNS unknowns
+    # one dense solve per tile unless it has MIN_SWEPT_UNKNOWNS unknowns
     per_row = lead + cols * ((r_row > 0.0) + (r_col > 0.0))
-    swept = per_row and rows >= 2 * -(-MIN_GROUP_UNKNOWNS // per_row)
+    swept = per_row and rows * per_row >= MIN_SWEPT_UNKNOWNS
     # current sources fix no potential: only a termination at the end of a
     # column wire ties the array to ground
     if not voltage_mode and (np.isinf(r_col) or np.all(np.isinf(r_neuron))):
         raise SingularNetworkError("current-mode network has no path to ground: the "
                                    "column wires or all neuron terminations are open")
 
-    # Each node's diagonal adds its branches in the dense reference's order
-    # (tests/oracles.py), a merged node's in sequence, so that a tile of one
-    # group matches it bit for bit: a row-wire node its cross-point, then its
-    # links right and left; a column-wire node its link down, cross-point
-    # and link up; a free terminal its termination, then its column. The
-    # chains are every row's tiles in turn: chain i*k + t is tile t's row i.
+    # each node's diagonal; the chains are every row's tiles in turn: chain
+    # i*k + t is tile t's row i
     g_rows = g.transpose(1, 0, 2).reshape(rows * k, cols)
     if r_row > 0.0:
         w_r, L, pos = 1.0 / r_row, cols + lead, np.arange(lead, cols + lead)
@@ -341,7 +335,7 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
         d[lead:-1] += w_r  # the row wire's far end links one way only
     else:  # a driver with its ideal row wire, unless the driver is fixed
         w_r, L, pos = 0.0, lead, np.zeros(cols, int)
-        d = np.cumsum(g_rows, 1)[None, :, -1] if L else np.empty((0, rows * k))
+        d = g_rows.sum(1)[None] if L else np.empty((0, rows * k))
     # the chain's diagonals, link, positions and what a unit drive feeds into position 0
     chain = (d, w_r, pos, w_r if voltage_mode else 1.0)
     ends = (r_neuron > 0.0).nonzero()[0]  # the free terminals
@@ -352,8 +346,7 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
         d_term = (g_term + w_c)[None].repeat(k, 0)
     else:  # a column merged into its terminal
         d_col = g[:, :0]
-        d_term = np.cumsum(np.concatenate(
-            [np.broadcast_to(g_term, (k, 1, ends.size)), g[:, :, ends]], 1), 1)[:, -1]
+        d_term = g_term + g[:, :, ends].sum(1)
     d_tile = d.reshape(L, rows, k)
     diag = np.concatenate([d_tile[:lead].transpose(2, 0, 1).reshape(k, -1),
                            d_tile[lead:].transpose(2, 1, 0).reshape(k, -1),
@@ -384,9 +377,9 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
     except np.linalg.LinAlgError as e:
         raise SingularNetworkError(f"nodal system is singular: {e}") from e
 
-    # branch voltages and currents in the reference's order: cross-points,
-    # terminations, row wires (the driver's feed, then between cross-points)
-    # and column wires (between cross-points, then the terminal's feed)
+    # branch voltages and currents: cross-points, terminations, row wires (the
+    # driver's feed, then between cross-points) and column wires (between
+    # cross-points, then the terminal's feed)
     v_src = drive if voltage_mode else v_chain[:, 0]
     v_row = v_chain[:, pos].transpose(0, 2, 1) if L else drive[:, None]
     v_free = v_term[:, ends]
@@ -401,13 +394,13 @@ def output_currents_nonideal(G: ConductanceMatrix, x: Excitation,
     i_b = [c * u for c, u in zip(gb, dv)]
     # a neuron's current flows through its termination, or into its grounded
     # terminal from the column wire's feed or from its merged column
-    currents = np.array(i_b[-1][:, -1] if r_col > 0.0 else np.cumsum(i_b[0], 1)[:, -1])
+    currents = i_b[-1][:, -1].copy() if r_col > 0.0 else i_b[0].sum(1)
     currents[:, ends] = v_free / r_neuron[ends]
 
     # Tellegen's powers, per tile one dot product of contiguous operands (BLAS sums
     # a strided one in another order). By KCL a voltage driver sends its row's
     # cross-point currents summed; its feed segment's drop would lose digits
-    dual = np.cumsum(i_b[0], 2)[..., -1] if voltage_mode else v_src
+    dual = i_b[0].sum(2) if voltage_mode else v_src
     p_source = [float(drive @ np.ascontiguousarray(dual[t])) for t in range(k)]
     p_dissipated = [float(np.concatenate([a[t] for a in i_b], None)
                           @ np.concatenate([u[t] for u in dv], None)) for t in range(k)]

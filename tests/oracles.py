@@ -20,9 +20,6 @@ nodal solve that the crossbar's row-group block elimination replaced;
 ``exact_solve_network`` refines its solution against the circuit's branch
 currents, summed in extended precision, so that the float64 solves can be
 measured against an exact answer.
-``reference_block_solve`` is that elimination as it first landed, with
-every group's block and coupling stamped before the sweep, kept to check
-the crossbar solve against it, bit for bit on tiles of one group.
 ``chain_solve_dc`` solves the neuron in KCL order, one bracketed scalar
 root at a time, and finds every operating point, so a converged
 ``solve_dc`` can be checked against it; ``kcl_residual`` measures a
@@ -124,10 +121,11 @@ def nodal_oracle_zero_wire(g, v_in, r_neuron):
 def reference_solve_network(G: ConductanceMatrix, x: Excitation,
                             spec: NonIdealSpec, refine: int = 0) -> NodalSolution:
     """The dense nodal solve that the row-group block elimination in
-    ``crossbar.output_currents_nonideal`` replaced, kept verbatim: it assembles the
-    whole n x n system in node-id order and factors it in one
-    ``np.linalg.solve`` call. With ``refine`` > 0, exact_solve_network's
-    refinement follows."""
+    ``crossbar.output_currents_nonideal`` replaced: it assembles the whole
+    n x n system in node-id order and factors it in one ``np.linalg.solve``
+    call. Its errors, with their ``.node``, are the ones the package must
+    raise; its answer is exact_solve_network's first step, which with
+    ``refine`` > 0 that function's refinement follows."""
     rows, cols = G.n_rows, G.n_cols
     r_neuron = spec.neuron_resistances(cols)
     voltage_mode = x.mode is ExcitationMode.VOLTAGE
@@ -219,8 +217,8 @@ def reference_solve_network(G: ConductanceMatrix, x: Excitation,
 
     # power bookkeeping (Tellegen): source power vs sum over resistive branches.
     # By KCL a voltage driver sends its row's cross-point currents (the first
-    # rows*cols branches), summed in column order as the solve sums them
-    row_currents = np.cumsum(i_b[:rows * cols].reshape(rows, cols), 1)[:, -1].copy()
+    # rows*cols branches)
+    row_currents = i_b[:rows * cols].reshape(rows, cols).sum(1)
     p_src = x.values @ row_currents if voltage_mode else x.values @ v[src]
     return NodalSolution(neuron_currents=currents, p_source=float(p_src),
                          p_dissipated=float(i_b @ dv))
@@ -253,182 +251,6 @@ def exact_solve_network(G: ConductanceMatrix, x: Excitation,
     3.5). The float64 solves are checked against this answer instead of
     against each other."""
     return reference_solve_network(G, x, spec, refine=4)
-
-
-def _reference_eliminate(blocks, b, start, off, p, q, entry) -> np.ndarray:
-    """Solve a symmetric system of row groups by block elimination.
-
-    Group j holds positions start[j]:start[j + 1] of the right-hand side b
-    and its diagonal block flat at blocks[off[j]:off[j + 1]]. Outside the
-    blocks the system has only ``entry`` at (p, q) and (q, p), each p in an
-    earlier group than q, and each group couples to at most one later group,
-    its target. Each group is solved for its coupling columns and b, and its
-    Schur complement updates its target; the last group is solved whole,
-    then every group back-substitutes. blocks and b are overwritten.
-    """
-    n_groups, n = start.size - 1, b.size
-    size = np.diff(start)
-    group = np.searchsorted(start, p, side="right") - 1
-    # group j's coupling C_j has a column for each unknown iface[j] it touches
-    key, col = np.unique(group * n + q, return_inverse=True)
-    first = np.searchsorted(key // n, np.arange(n_groups + 1))
-    width = np.diff(first)
-    coff = np.concatenate([[0], np.cumsum(size * width)])
-    C = np.bincount(coff[group] + (p - start[group]) * width[group] + col - first[group],
-                    entry, minlength=coff[-1])
-    iface = [key[first[j]:first[j + 1]] % n for j in range(n_groups)]
-
-    def block(j):
-        return blocks[off[j]:off[j + 1]].reshape(size[j], size[j])
-
-    sweep = []
-    for j in range(n_groups - 1):
-        cj = C[coff[j]:coff[j + 1]].reshape(size[j], width[j])
-        sol = np.linalg.solve(block(j), np.column_stack([cj, b[start[j]:start[j + 1]]]))
-        sweep.append(sol)
-        if width[j]:
-            t = np.searchsorted(start, iface[j][0], side="right") - 1
-            local = iface[j] - start[t]
-            block(t)[np.ix_(local, local)] -= cj.T @ sol[:, :-1]
-            b[iface[j]] -= cj.T @ sol[:, -1]
-    x = np.empty(n)
-    x[start[-2]:] = np.linalg.solve(block(n_groups - 1), b[start[-2]:])
-    for j in reversed(range(n_groups - 1)):
-        x[start[j]:start[j + 1]] = sweep[j][:, -1] - sweep[j][:, :-1] @ x[iface[j]]
-    return x
-
-
-# reference_block_solve's fewest unknowns per row group: the package's
-# MIN_GROUP_UNKNOWNS when the elimination landed, fixed here so that
-# retuning the package leaves the reference as it was
-REFERENCE_GROUP_UNKNOWNS = 96
-
-
-def reference_block_solve(G: ConductanceMatrix, x: Excitation,
-                          spec: NonIdealSpec) -> NodalSolution:
-    """The row-group block elimination that stamped every group's block and
-    coupling up front, each set in one ``np.bincount``, before the sweep
-    ``crossbar.output_currents_nonideal`` now streams; kept verbatim."""
-    rows, cols = G.n_rows, G.n_cols
-    r_neuron = spec.neuron_resistances(cols)
-    voltage_mode = x.mode is ExcitationMode.VOLTAGE
-    # current sources fix no potential: only a termination at the end of a
-    # column wire ties the array to ground
-    if not voltage_mode and (np.isinf(spec.r_wire_col) or np.all(np.isinf(r_neuron))):
-        raise SingularNetworkError("current-mode network has no path to ground: the "
-                                   "column wires or all neuron terminations are open")
-
-    # node numbering: ground 0, per-row driver nodes, row-side cross-point
-    # nodes, column-side cross-point nodes, neuron terminal nodes
-    src = 1 + np.arange(rows)
-    rnode = (1 + rows + np.arange(rows * cols)).reshape(rows, cols)
-    cnode = rnode + rows * cols
-    term = 1 + rows + 2 * rows * cols + np.arange(cols)
-    n_nodes = term[-1] + 1
-
-    # zero-ohm wires merge a whole row into its driver or a whole column
-    # into its neuron terminal; no other merge is possible with scalar wires
-    rep = np.arange(n_nodes)
-    if spec.r_wire_row == 0.0:
-        rep[rnode] = src[:, None]
-    if spec.r_wire_col == 0.0:
-        rep[cnode] = term[None, :]
-
-    # branch groups (a, c, g); zero-ohm branches are never created, so no
-    # branch lies inside one supernode
-    terminated = r_neuron > 0.0
-    ends = term[terminated]
-    groups = [(rnode, cnode, G.g), (ends, np.zeros_like(ends), 1.0 / r_neuron[terminated])]
-    if spec.r_wire_row > 0.0:  # driver feed, then between adjacent cross-points
-        groups.append((np.column_stack([src, rnode[:, :-1]]), rnode, 1.0 / spec.r_wire_row))
-    if spec.r_wire_col > 0.0:  # between adjacent cross-points, then terminal feed
-        groups.append((cnode, np.vstack([cnode[1:], term]), 1.0 / spec.r_wire_col))
-    a = rep[np.concatenate([np.ravel(ga) for ga, _, _ in groups])]
-    c = rep[np.concatenate([np.ravel(gc) for _, gc, _ in groups])]
-    g = np.concatenate([np.broadcast_to(gg, np.shape(ga)).ravel() for ga, _, gg in groups])
-
-    # fixed potentials: ground, voltage-mode drivers and zero-resistance
-    # neuron terminals (ideal virtual ground); other supernodes are unknown
-    v = np.zeros(n_nodes)
-    is_unknown = rep == np.arange(n_nodes)
-    is_unknown[0] = False
-    is_unknown[term[~terminated]] = False
-    if voltage_mode:
-        is_unknown[src] = False
-        v[src] = x.values
-    unknown = np.flatnonzero(is_unknown)
-
-    # row groups: runs of consecutive rows holding at least
-    # REFERENCE_GROUP_UNKNOWNS unknowns (every row holds as many), the leftover
-    # rows and the neuron terminals joining the last group. Unknowns are ordered
-    # by group, then by node id, so a single group is the whole system in
-    # node-id order.
-    per_row = (not voltage_mode) + cols * ((spec.r_wire_row > 0.0) + (spec.r_wire_col > 0.0))
-    span = -(-REFERENCE_GROUP_UNKNOWNS // per_row) if per_row else rows
-    n_groups = max(rows // span, 1)
-    size = np.array([unknown.size])  # unknowns per group
-    if n_groups > 1:
-        row_of = np.full(n_nodes, rows - 1)
-        row_of[src] = np.arange(rows)
-        row_of[rnode] = row_of[cnode] = np.arange(rows)[:, None]
-        group = np.minimum(row_of[unknown] // span, n_groups - 1)
-        unknown = unknown[np.argsort(group, kind="stable")]
-        size = np.bincount(group, minlength=n_groups)
-    n = unknown.size
-    k = np.full(n_nodes, -1)
-    k[unknown] = np.arange(n)
-    start = np.concatenate([[0], np.cumsum(size)])
-    gid = np.repeat(np.arange(n_groups), size)  # group of each position
-    # each group's block is stored flat from off[j]; entry (p, q) of a group
-    # is at base[p] + q
-    off = np.concatenate([[0], np.cumsum(size * size)])
-    base = off[gid] + (np.arange(n) - start[gid]) * size[gid] - start[gid]
-
-    # stamp each branch from its near end p; v so far holds only fixed
-    # potentials. A branch between two groups couples the earlier one to
-    # its next group (a column wire) or to the last one (merged columns).
-    p, q, gpq = np.concatenate([a, c]), np.concatenate([c, a]), np.concatenate([g, g])
-    kp, kq = k[p], k[q]
-    near, both = kp >= 0, (kp >= 0) & (kq >= 0)
-    kn, kb, qb, gb = kp[near], kp[both], kq[both], gpq[both]
-    inside = gid[kb] == gid[qb]
-    blocks = np.bincount(np.concatenate([base[kn] + kn, base[kb[inside]] + qb[inside]]),
-                         np.concatenate([gpq[near], -gb[inside]]), minlength=off[-1])
-    b = np.bincount(kn, gpq[near] * v[q[near]], minlength=n)
-    if not voltage_mode:
-        b[k[src]] += x.values
-
-    is_floating = blocks[base + np.arange(n)] == 0.0
-    if np.any(is_floating):
-        node = int(unknown[is_floating].min())
-        raise SingularNetworkError(
-            f"floating node (supernode {node}) has no conductance to the rest "
-            "of the network", node=node)
-    try:
-        if n_groups == 1:
-            v[unknown] = np.linalg.solve(blocks.reshape(n, n), b)
-        else:
-            fwd = gid[kb] < gid[qb]
-            v[unknown] = _reference_eliminate(blocks, b, start, off, kb[fwd], qb[fwd], -gb[fwd])
-    except np.linalg.LinAlgError as e:
-        raise SingularNetworkError(f"nodal system is singular: {e}") from e
-
-    # branch currents a -> c and each node's net inflow; a neuron's current
-    # flows through its termination, or into its virtual-ground terminal
-    dv = v[a] - v[c]
-    i_b = g * dv
-    inflow = np.bincount(np.concatenate([c, a]), np.concatenate([i_b, -i_b]),
-                         minlength=n_nodes)
-    currents = inflow[term]
-    currents[terminated] = v[ends] / r_neuron[terminated]
-
-    # power bookkeeping (Tellegen): source power vs sum over resistive branches.
-    # By KCL a voltage driver sends its row's cross-point currents (the first
-    # rows*cols branches), summed in column order as the solve sums them
-    row_currents = np.cumsum(i_b[:rows * cols].reshape(rows, cols), 1)[:, -1].copy()
-    p_src = x.values @ row_currents if voltage_mode else x.values @ v[src]
-    return NodalSolution(neuron_currents=currents, p_source=float(p_src),
-                         p_dissipated=float(i_b @ dv))
 
 
 def bisect(f, lo, hi, tol=1e-15, max_iter=200):
