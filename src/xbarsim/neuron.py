@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .devices import MosEval, MosParams, Region, mos_current_signed, mos_eval
 
@@ -170,15 +169,9 @@ def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
     lambda = 0 and an ideal I_B2 source the input node has the closed form
     v_in = vt2 + sqrt(2*(ib2 + i_dac)/beta2), which external oracles use.
 
-    The iterates must stay bit-identical to np.linalg.solve's. The step
-    calls the gufunc that solve dispatches to for a 1-D right-hand side
-    (LAPACK dgesv) on float64 arrays, under the FP-error policy that solve
-    sets on every call, set once per call here, so a singular matrix raises
-    instead of calling a handler. TestArrayReferenceSolve checks that
-    against the array oracle, so a numpy upgrade that changes the kernel or
-    the policy fails there. The step solves J d = f and subtracts t*d: the
-    pivoting never looks at the right-hand side and round-to-nearest is
-    symmetric under negation, so this is the v + t*dv of J dv = -f to the bit.
+    Each step solves J d = f from the KCL sums: X + Y + O holds no device
+    current, so d_out is closed form; X + Y holds M3 alone, which gives
+    d_mid; X and G leave a 2x2 system in d_in and d_gate1.
     """
     i_dac = dac_current(p.dac, code)
     i_daco = dac_current(p.dac_out, out_code)
@@ -207,42 +200,39 @@ def solve_dc(p: RgcParams, i_in: float = 0.0, code: int = 0,
     vo0 = vdd - p.r_load * (ib - i_in - i_daco)
     v = (vin0, vg0, vy0, vo0)
     f, dev, norm = kcl(*v)
-    # per call, not shared: the gufunc releases the GIL
-    jac, res = np.zeros((4, 4)), np.empty(4)
-    jm, rm = memoryview(jac), memoryview(res)
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-        for it in range(1, MAX_ITER + 1):
-            if norm <= KCL_TOL * 1e-3:
-                iters = it - 1
+    for it in range(1, MAX_ITER + 1):
+        if norm <= KCL_TOL * 1e-3:
+            iters = it - 1
+            break
+        d1g, d1d, d2g, d2d, d3g, d3d = dev
+        f0, f1, f2, f3 = f
+        g3, a, b = d3g + d3d, d1g + d1d, g_b2 + d2d
+        det = a * b + d1g * d2g
+        if g3 == 0.0 or det == 0.0:  # M3 conducts nothing, or the X-G block is singular
+            raise SolverError(f"singular Jacobian at iteration {it}")
+        s3 = -(f0 + f2 + f3) * p.r_load
+        s2 = (d3d * s3 - (f0 + f2)) / g3
+        q = f0 - d1d * s2
+        s0 = (-b * q - d1g * f1) / det
+        s1 = (d2g * q - a * f1) / det
+        vin, vg, vy, vo = v
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            v_new = (vin - t * s0, vg - t * s1, vy - t * s2, vo - t * s3)
+            f_new, dev_new, norm_new = kcl(*v_new)
+            if norm_new < norm or norm_new <= KCL_TOL * 1e-3:
                 break
-            d1g, d1d, d2g, d2d, d3g, d3d = dev
-            jm[0, 0], jm[0, 1], jm[0, 2] = -(d1g + d1d), d1g, d1d
-            jm[1, 0], jm[1, 1] = -d2g, -g_b2 - d2d
-            jm[2, 0], jm[2, 1], jm[2, 2], jm[2, 3] = d1g + d1d, -d1g, -(d3g + d3d) - d1d, d3d
-            jm[3, 2], jm[3, 3] = d3g + d3d, -g_l - d3d
-            rm[0], rm[1], rm[2], rm[3] = f
-            try:
-                s0, s1, s2, s3 = _solve1(jac, res, signature="dd->d").tolist()
-            except FloatingPointError as e:
-                raise SolverError(f"singular Jacobian at iteration {it}") from e
-            vin, vg, vy, vo = v
-            t = 1.0
-            for _ in range(MAX_HALVINGS + 1):
-                v_new = (vin - t * s0, vg - t * s1, vy - t * s2, vo - t * s3)
-                f_new, dev_new, norm_new = kcl(*v_new)
-                if norm_new < norm or norm_new <= KCL_TOL * 1e-3:
-                    break
-                t *= 0.5
-            if norm_new >= norm:
-                if norm > KCL_TOL:
-                    raise SolverError(f"Newton stalled at iteration {it}: residual {norm:.3e} A")
-                iters = it  # converged; damping makes no further progress
-                break
-            v, f, dev, norm = v_new, f_new, dev_new, norm_new
-        else:
+            t *= 0.5
+        if norm_new >= norm:
             if norm > KCL_TOL:
-                raise SolverError(f"Newton did not converge: last residual {norm:.3e} A")
-            iters = MAX_ITER
+                raise SolverError(f"Newton stalled at iteration {it}: residual {norm:.3e} A")
+            iters = it  # converged; damping makes no further progress
+            break
+        v, f, dev, norm = v_new, f_new, dev_new, norm_new
+    else:
+        if norm > KCL_TOL:
+            raise SolverError(f"Newton did not converge: last residual {norm:.3e} A")
+        iters = MAX_ITER
     vin, vg, vy, vo = v
     e1 = mos_eval(m1, vg - vin, vy - vin) if vy >= vin else None
     e2 = mos_eval(m2, vin, vg) if vg >= 0 else None

@@ -11,11 +11,12 @@ its operating points, to check the small-signal formulas.
 ``reference_sar_calibrate`` is the bit-register SAR search that
 ``sar.sar_calibrate`` replaced with a plain MSB-first loop, kept with its
 direction, comparator offset and monotone sweep to check that the two agree
-call for call. ``reference_solve_dc`` is the numpy-array Newton solve that
-the neuron's Python-float solve replaced, kept to check that the two agree
-bit for bit. ``reference_rout_numeric``, the cascode output impedance by
-finite differences, runs the same array Newton on the probe network; it is
-the only copy of that measurement. ``reference_solve_network`` is the dense
+call for call. ``reference_solve_dc`` is the numpy-array Newton solve, with
+a LAPACK step, that the neuron's Python-float solve replaced; it is kept to
+check that the two fail alike and converge alike, to within 1e-12 V.
+``reference_rout_numeric``, the cascode output impedance by finite
+differences, runs the same array Newton on the probe network; it is the
+only copy of that measurement. ``reference_solve_network`` is the dense
 nodal solve that the crossbar's row-group block elimination replaced;
 ``exact_solve_network`` refines its solution against the circuit's branch
 currents, summed in extended precision, so that the float64 solves can be
@@ -423,10 +424,12 @@ def reference_sar_calibrate(plant, vref, nbits, direction=Direction.INCREASING,
 
 # ---- the array-based neuron solve ---------------------------------------
 # The numpy-array Newton solve that ``neuron.solve_dc`` replaced with
-# Python-float residuals, with the MosEval-building device evaluation it
-# called. Kept unchanged so that the tests can check the two bit for bit:
-# same operating point, iterations and residual, or the same SolverError
-# text. ``reference_rout_numeric`` runs it on the output probe.
+# Python-float residuals and a step eliminated by the KCL sums, with the
+# MosEval-building device evaluation it called. Kept unchanged so that the
+# tests can check the two: both raise or neither does, with equal iterations
+# and regions and node voltages within 1e-12 of each other (relative above
+# 1 V); the pinned points match exactly. ``reference_rout_numeric`` runs it
+# on the output probe.
 
 
 def reference_mos_eval(p: MosParams, vgs: float, vds: float) -> MosEval:

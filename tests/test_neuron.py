@@ -145,8 +145,11 @@ class TestDcClosedForm:
             solve_dc(lam0_params(), i_in=6e-6)
 
     def test_cutoff_bias_reported(self):
-        with pytest.raises(SolverError):
-            solve_dc(lam0_params(vb3=0.0))
+        # each cascode bias cuts M3 off at the first iterate, so M3 conducts
+        # nothing and the Newton step has no solution
+        for p in (lam0_params(vb3=0.0), dataclasses.replace(reference_params(), vb3=0.92)):
+            with pytest.raises(SolverError, match="^singular Jacobian at iteration 1$"):
+                solve_dc(p)
 
     def test_monotone_v_in_in_code(self):
         p = reference_params()
@@ -196,9 +199,11 @@ class TestKclChainOracle:
 
 class TestArrayReferenceSolve:
     """solve_dc against the numpy-array solve it replaced (tests/oracles.py):
-    the same OperatingPoint, iterations and residual included, or the same
-    SolverError text. Also the array solve's output probe, which acceptance
-    3 reads, against the exact derivative of its network."""
+    both raise or neither does; a converged pair agrees on iterations and
+    device regions, each residual is within KCL_TOL and each node voltage
+    within 1e-12 of the other's, relative above 1 V. The pinned points
+    match exactly. Also the array solve's output probe, which acceptance 3
+    reads, against the exact derivative of its network."""
 
     @staticmethod
     def _outcomes(p, i_in, code, out_code):
@@ -227,7 +232,18 @@ class TestArrayReferenceSolve:
                           MismatchSpec(10e-3 * sigma_scale, 0.02 * sigma_scale),
                           run_rng(seed, run))
         new, ref = self._outcomes(p, i_in, code, out_code)
-        assert new == ref
+        # the step's elimination order differs from LAPACK's, so the two
+        # round differently; at a converged point only the last bits move
+        assert isinstance(new, str) == isinstance(ref, str)
+        if isinstance(new, str):
+            return
+        assert new.iterations == ref.iterations
+        assert ((new.m1.region, new.m2.region, new.m3.region)
+                == (ref.m1.region, ref.m2.region, ref.m3.region))
+        assert new.residual <= KCL_TOL and ref.residual <= KCL_TOL
+        for name in ("v_in", "v_gate1", "v_mid", "v_out"):
+            a, b = getattr(new, name), getattr(ref, name)
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
 
     def test_known_stall_pinned(self):
         # run 23 stalls at the SAR's first trial code, at M1's
@@ -257,19 +273,6 @@ class TestArrayReferenceSolve:
         # no rail on the feedback node: v_gate1 runs far above vdd here
         msg = "SolverError: singular Jacobian at iteration 3"
         assert self._outcomes(reference_params(), -10.7e-6, 20, 0) == [msg, msg]
-
-    @pytest.mark.parametrize("state", [{}, {"all": "print"}], ids=["default", "print"])
-    def test_fp_state_does_not_leak(self, state):
-        # the Newton step raises on an invalid LAPACK result inside its own
-        # errstate scope; the caller's FP-error policy is what it was
-        p = reference_params()
-        with np.errstate(**state):
-            before = np.geterr()
-            solve_dc(p)
-            assert np.geterr() == before
-            with pytest.raises(SolverError, match="singular Jacobian at iteration 3"):
-                solve_dc(p, -10.7e-6, 20)
-            assert np.geterr() == before
 
     @pytest.mark.parametrize("run,code,i_in", [(None, 0, 0.0), (None, 20, -2e-6),
                                                (None, 63, 1e-6), (5, 31, 0.0),
